@@ -1,4 +1,4 @@
-"""Box-ball states and their time-evolution algorithms.
+"""Box-ball states and their time evolution.
 
 A state places finitely many balls with colors 1..n into boxes indexed by
 the integers; box j holds at most ``capacity(j)`` balls.  The vacancy
@@ -14,10 +14,12 @@ capacities.
 
 One time step moves colors 1, 2, ..., n in order, the leftmost unmoved
 ball of the current color first, each ball to the nearest vacant slot
-strictly to its right (``original_step``).  The same step is computed by
-sweeping a carrier along the slot word (``carrier_step``), and the
-occupied-box labels evolve autonomously by a carrier over the vacant-slot
-labels (``box_label_step``, ``q_evolve``).
+strictly to its right.  ``carrier_step`` computes that step by sweeping a
+carrier along the slot word; the ball-moving rule itself lives only in
+``oracle.naive_original_step``, as an independent reference.  The step
+backwards is the forward step seen in a mirror (``mirror``: box j to -j,
+color c to n+1-c), and the occupied-box labels evolve autonomously by a
+carrier over the vacant-slot labels (``box_label_step``, ``q_evolve``).
 
 Labels and slot indices are plain Python integers; one step shifts labels
 right by at most the ball count N, so magnitudes stay small at desk scale.
@@ -25,13 +27,14 @@ right by at most the ball count N, so magnitudes stay small at desk scale.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping
 
 from .rsk import BiWord, dual, rsk
-from .tableau import Tableau, Word, shape, tab, word_of
+from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
 
 Carrier = tuple[int, ...]  # weakly increasing multiset of letters or labels
 LabelSequence = tuple[int, ...]  # box labels listed per ascending ball color
@@ -41,7 +44,7 @@ LabelSequence = tuple[int, ...]  # box labels listed per ascending ball color
 class CapacityProfile:
     """Per-box capacities: explicit overrides over a default for all other boxes."""
 
-    explicit: dict[int, int] = field(default_factory=dict)
+    explicit: Mapping[int, int] = field(default_factory=dict)
     default: int = 1
 
     def __post_init__(self) -> None:
@@ -55,7 +58,10 @@ class CapacityProfile:
                 raise ValueError(f"capacity {cap} of box {label} must be at least 1")
             if cap != self.default:
                 explicit[label] = cap
-        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "explicit", MappingProxyType(explicit))
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.explicit.items()), self.default))
 
     def capacity(self, label: int) -> int:
         return self.explicit.get(label, self.default)
@@ -104,7 +110,7 @@ class State:
     """A box-ball configuration: color multiset per box label."""
 
     n: int
-    balls: dict[int, Word] = field(default_factory=dict)
+    balls: Mapping[int, Word] = field(default_factory=dict)
     capacities: CapacityProfile = UNIT_CAPACITY
 
     def __post_init__(self) -> None:
@@ -122,7 +128,10 @@ class State:
             if len(colors) > cap:
                 raise ValueError(f"box {label} holds {len(colors)} balls but has capacity {cap}")
             balls[label] = colors
-        object.__setattr__(self, "balls", balls)
+        object.__setattr__(self, "balls", MappingProxyType(balls))
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.balls.items()), self.capacities))
 
     @property
     def ball_count(self) -> int:
@@ -151,18 +160,31 @@ def window(s: State) -> tuple[int, int]:
     """Slot interval [p, q] containing the occupied slots now and after one step."""
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    pairs = occupied_slots(s)
-    return pairs[0][0], pairs[-1][0] + s.ball_count
+    return _window_of(occupied_slots(s))
+
+
+def _window_of(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    return pairs[0][0], pairs[-1][0] + len(pairs)
 
 
 def slot_word(s: State, lo: int, hi: int) -> Word:
     """One letter per slot in [lo, hi]: the ball color, or the sentinel n+1."""
-    e = s.sentinel
+    return _slot_letters(occupied_slots(s), lo, hi, s.sentinel)
+
+
+def _slot_letters(pairs: list[tuple[int, int]], lo: int, hi: int, e: int) -> Word:
     letters = [e] * (hi - lo + 1)
-    for slot, color in occupied_slots(s):
+    for slot, color in pairs:
         if lo <= slot <= hi:
             letters[slot - lo] = color
     return tuple(letters)
+
+
+def window_labels(
+    capacities: CapacityProfile, p: int, q: int, skip: Collection[int] = ()
+) -> tuple[int, ...]:
+    """Label of the box owning each slot in [p, q], leaving out the slots in ``skip``."""
+    return tuple(capacities.label_of_slot(i) for i in range(p, q + 1) if i not in skip)
 
 
 def state_to_biword(s: State) -> BiWord:
@@ -230,96 +252,52 @@ def _rebuild(s: State, placed: Iterable[tuple[int, int]]) -> State:
     return State(s.n, {label: tuple(colors) for label, colors in boxes.items()}, s.capacities)
 
 
-def original_step(s: State) -> State:
-    """One time step by the ball-moving rule.
-
-    Colors move in increasing order, the leftmost unmoved ball of the
-    current color first; each ball jumps to the nearest vacant slot
-    strictly to its right, where vacancy accounts for balls already moved
-    and slots vacated during this step.
-    """
-    if s.is_empty():
-        return s
-    pairs = occupied_slots(s)
-    p, q = window(s)
-    occupied = {slot for slot, _ in pairs}
-    vacant = [i for i in range(p, q + 1) if i not in occupied]
-    by_color: dict[int, list[int]] = defaultdict(list)
-    for slot, color in pairs:
-        by_color[color].append(slot)
-    placed: list[tuple[int, int]] = []
-    for color in sorted(by_color):
-        for slot in by_color[color]:
-            i = bisect_right(vacant, slot)
-            assert i < len(vacant), "window [p, q] always contains the target slot"
-            target = vacant.pop(i)
-            insort(vacant, slot)
-            placed.append((target, color))
-    return _rebuild(s, placed)
-
-
-def reverse_step(s: State) -> State:
-    """One time step backwards; inverse of ``original_step`` on every state.
-
-    Left and right exchange roles and the colors move in decreasing order,
-    the rightmost unmoved ball of the current color first, each ball to
-    the nearest vacant slot strictly to its left.  For the slot scan the
-    balls of each box are packed to the *left* (colors still ascending),
-    mirroring the canonical packing.
-    """
-    if s.is_empty():
-        return s
-    pairs: list[tuple[int, int]] = []
-    for label in sorted(s.balls):
-        colors = s.balls[label]
-        start = s.capacities.slot_end(label - 1) + 1
-        pairs.extend((start + k, c) for k, c in enumerate(colors))
-    lo = pairs[0][0] - s.ball_count
-    hi = pairs[-1][0]
-    occupied = {slot for slot, _ in pairs}
-    vacant = [i for i in range(lo, hi + 1) if i not in occupied]
-    by_color: dict[int, list[int]] = defaultdict(list)
-    for slot, color in pairs:
-        by_color[color].append(slot)
-    placed: list[tuple[int, int]] = []
-    for color in sorted(by_color, reverse=True):
-        for slot in reversed(by_color[color]):
-            i = bisect_left(vacant, slot) - 1
-            assert i >= 0, "the mirrored window always contains the target slot"
-            target = vacant.pop(i)
-            insort(vacant, slot)
-            placed.append((target, color))
-    return _rebuild(s, placed)
-
-
 def carrier_step(s: State) -> State:
     """One time step by sweeping an all-sentinel carrier along the slot word.
 
     The carrier holds N copies of e = n+1, one per ball; it returns to all
-    sentinels at the end of the pass.  Equals ``original_step`` on every
-    state.
+    sentinels at the end of the pass.  Equals the ball-moving rule
+    (``oracle.naive_original_step``) on every state.
     """
     if s.is_empty():
         return s
-    p, q = window(s)
+    pairs = occupied_slots(s)
+    p, q = _window_of(pairs)
     e = s.sentinel
-    word = slot_word(s, p, q)
-    out, final = carrier_pass((e,) * s.ball_count, word)
-    assert all(x == e for x in final), "the carrier must return to all sentinels"
+    out, final = carrier_pass((e,) * len(pairs), _slot_letters(pairs, p, q, e))
+    if any(x != e for x in final):
+        raise InvariantError(f"the carrier ended holding {final}, not only sentinels")
     return _rebuild(s, ((p + k, x) for k, x in enumerate(out) if x != e))
+
+
+def mirror(s: State) -> State:
+    """Reflect a state: box j becomes box -j, capacity included; color c becomes n+1-c.
+
+    An involution.  Reflecting the line turns rightward moves into leftward
+    ones and complementing the colors reverses their order, so the forward
+    step of the mirror image is the mirror image of the step backwards.
+    """
+    profile = s.capacities
+    caps = CapacityProfile({-j: cap for j, cap in profile.explicit.items()}, profile.default)
+    balls = {-j: tuple(s.n + 1 - c for c in colors) for j, colors in s.balls.items()}
+    return State(s.n, balls, caps)
+
+
+def reverse_step(s: State) -> State:
+    """One time step backwards; inverse of ``carrier_step`` on every state."""
+    return mirror(carrier_step(mirror(s)))
 
 
 def label_carrier(s: State) -> Carrier:
     """Labels of the vacant slots in the window, with slot multiplicity."""
     p, q = window(s)
-    occupied = {slot for slot, _ in occupied_slots(s)}
-    return tuple(s.capacities.label_of_slot(i) for i in range(p, q + 1) if i not in occupied)
+    return window_labels(s.capacities, p, q, {slot for slot, _ in occupied_slots(s)})
 
 
 def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
     """Evolve the box-label sequence by a carrier of vacant-slot labels.
 
-    Returns (b', C'): b' is the box-label sequence of ``original_step(s)``
+    Returns (b', C'): b' is the box-label sequence of ``carrier_step(s)``
     and C' the vacant-slot labels of the evolved state over the same
     window.
     """
@@ -355,25 +333,21 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
             raise ValueError(f"tableau puts {m} balls into box {label} of capacity {cap}")
         end = capacities.slot_end(label)
         occupied.update(range(end - m + 1, end + 1))
-    p = min(occupied)
-    hi = max(occupied) + total
-    carrier = tuple(capacities.label_of_slot(i) for i in range(p, hi + 1) if i not in occupied)
+    carrier = window_labels(capacities, min(occupied), max(occupied) + total, occupied)
     out, _ = carrier_pass(carrier, word_of(q))
     evolved = tab(out)
-    assert shape(evolved) == shape(q), "the carrier image of a tableau word keeps its shape"
+    if shape(evolved) != shape(q):
+        raise InvariantError(f"the carrier changed the tableau shape {shape(q)} to {shape(evolved)}")
     return evolved
 
 
-def evolve(s: State, steps: int, algorithm: str = "original") -> list[State]:
-    """Trajectory [s, step(s), ...] of length steps + 1."""
+def evolve(s: State, steps: int) -> list[State]:
+    """Trajectory [s, carrier_step(s), ...] of length steps + 1."""
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    step = {"original": original_step, "carrier": carrier_step}.get(algorithm)
-    if step is None:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'original' or 'carrier'")
     out = [s]
     for _ in range(steps):
-        out.append(step(out[-1]))
+        out.append(carrier_step(out[-1]))
     return out
 
 
@@ -401,7 +375,7 @@ def reduce_generalized_to_advanced(
     if not tops:
         return out, {}
     p, q = tops[0], tops[-1] + len(tops)
-    return out, {i: capacities.label_of_slot(i) for i in range(p, q + 1)}
+    return out, dict(zip(range(p, q + 1), window_labels(capacities, p, q)))
 
 
 def reduce_advanced_to_standard(bw: BiWord) -> tuple[BiWord, dict[int, int]]:

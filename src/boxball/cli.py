@@ -38,7 +38,6 @@ from .verify import run_verification
 class RunConfig:
     command: str
     steps: int = 0
-    algorithm: str = "original"
     notation: str | None = None
     seed: int = 0
     cases: int = 100
@@ -86,7 +85,7 @@ def _pick_notation(config: RunConfig, states) -> str:
 
 
 def cmd_evolve(config: RunConfig) -> int:
-    states = evolve(_load_state(config), config.steps, config.algorithm)
+    states = evolve(_load_state(config), config.steps)
     notation = _pick_notation(config, states)
     anchor = config.span is None  # an explicit window is already anchored
     _emit(config, render_trajectory(states, notation, config.span, config.empty, anchor))
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="print a trajectory, one state line per time step")
     add_state_args(p)
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--algorithm", choices=["original", "carrier"], default="original")
     p.add_argument("--notation", choices=["compact", "walled"], default=None)
     p.add_argument("--span", default=None, help="label range LO:HI to show")
     p.add_argument("--empty-char", dest="empty", default="_", choices=["_", "e"])
@@ -196,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
-    for name in ("steps", "algorithm", "notation", "seed", "cases", "colors", "empty", "mode", "fixtures"):
+    for name in ("steps", "notation", "seed", "cases", "colors", "empty", "mode", "fixtures"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
     if getattr(args, "input", None) is not None:

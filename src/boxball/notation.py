@@ -7,8 +7,11 @@ leading ``@<label>`` fixes the label of the first shown box (default 0).
 
 Walled notation (arbitrary capacities): boxes delimited by ``|``, each
 box a token string whose length is the box capacity, e.g. ``|ee5|e125|4|``.
-The first shown box has label 1 unless ``@<label>`` is given; a trailing
-``+<d>`` sets the capacity of every unlisted box (default 1).
+As in compact notation, whitespace anywhere in the walled text makes every
+box a list of whitespace-separated tokens (``|e 12|3|``); text with more
+than 9 colors is always rendered that way.  The first shown box has label
+1 unless ``@<label>`` is given; a trailing ``+<d>`` sets the capacity of
+every unlisted box (default 1).
 
 Parsing canonicalizes (vacancies packed left, colors sorted); rendering
 emits canonical text, so parse -> render is idempotent on text and
@@ -79,9 +82,10 @@ def _split_walled(body: str) -> tuple[list[list[str]], int]:
     if not body.endswith("|"):
         raise StateParseError("walled notation must end with '|'")
     segments = body[1:-1].split("|")
+    wide = any(ch.isspace() for ch in body)
     boxes = []
     for k, seg in enumerate(segments):
-        tokens = seg.split() if any(ch.isspace() for ch in seg) else list(seg)
+        tokens = seg.split() if wide else list(seg)
         if not tokens:
             raise StateParseError(f"box {k + 1} of the walled text is zero-width")
         boxes.append(tokens)
@@ -145,14 +149,17 @@ def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str
 
 
 def _render_walled(s: State, lo: int, hi: int, anchor: bool) -> str:
+    wide = s.n > 9
     parts = []
     for j in range(lo, hi + 1):
         colors = s.balls.get(j, ())
         cap = s.capacities.capacity(j)
         pad = ["e"] * (cap - len(colors))
         tokens = pad + [str(c) for c in colors]
-        parts.append((" " if s.n > 9 else "").join(tokens))
+        parts.append((" " if wide else "").join(tokens))
     body = "|" + "|".join(parts) + "|"
+    if wide and " " not in body:  # one token per box: a space marks the token mode
+        body = "| " + body[1:]
     if s.capacities.default != 1:
         body += f"+{s.capacities.default}"
     return body if lo == 1 or not anchor else f"@{lo}{body}"

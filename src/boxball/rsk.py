@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .tableau import Tableau, _insert, shape
+from .tableau import InvariantError, Tableau, _insert, shape
 
 IntegerMatrix = dict[tuple[int, int], int]
 
@@ -73,7 +73,8 @@ def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
         r, c = _insert(p_rows, j)
         if r > len(q_rows):
             q_rows.append([])
-        assert c == len(q_rows[r - 1]) + 1
+        if c != len(q_rows[r - 1]) + 1:
+            raise InvariantError(f"bumping added column {c} to row {r}, not the end of that row")
         q_rows[r - 1].append(i)
     p = Tableau(tuple(tuple(row) for row in p_rows))
     q = Tableau(tuple(tuple(row) for row in q_rows))

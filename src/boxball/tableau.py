@@ -17,6 +17,10 @@ Word = tuple[int, ...]
 Shape = tuple[int, ...]
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a fault in this package, not in its input."""
+
+
 def as_word(letters: Iterable[int]) -> Word:
     """Normalize an iterable of letters to a Word, checking positivity."""
     word = tuple(int(x) for x in letters)

@@ -26,7 +26,6 @@ from .bbs import (
     carrier_step,
     evolve,
     label_carrier,
-    original_step,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -36,6 +35,7 @@ from .bbs import (
     slot_word,
     state_to_biword,
     window,
+    window_labels,
 )
 from .notation import parse_state, render_state, render_trajectory
 from .oracle import naive_original_step
@@ -118,12 +118,11 @@ def check_p_conservation(s: State, steps: int = 10) -> bool:
 
 
 def check_algorithms_agree(s: State) -> bool:
-    stepped = original_step(s)
-    return stepped == carrier_step(s) == naive_original_step(s)
+    return carrier_step(s) == naive_original_step(s)
 
 
 def check_reversible(s: State) -> bool:
-    return reverse_step(original_step(s)) == s
+    return reverse_step(carrier_step(s)) == s
 
 
 def check_box_label(s: State) -> bool:
@@ -136,11 +135,10 @@ def check_box_label(s: State) -> bool:
     if s.is_empty():
         return True
     labels_next, final_carrier = box_label_step(s)
-    stepped = original_step(s)
-    if labels_next != box_label_sequence(stepped):
+    if labels_next != box_label_sequence(carrier_step(s)):
         return False
     p, q = window(s)
-    leftover = Counter(s.capacities.label_of_slot(i) for i in range(p, q + 1))
+    leftover = Counter(window_labels(s.capacities, p, q))
     leftover.subtract(labels_next)
     return Counter(final_carrier) == +leftover
 
@@ -149,7 +147,7 @@ def check_q_evolution(s: State) -> bool:
     """The carrier image of the recording tableau is the evolved recording tableau."""
     if s.is_empty():
         return True
-    return q_evolve(q_symbol(s), s.capacities) == q_symbol(original_step(s))
+    return q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
 
 
 def check_carrier_knuth(s: State) -> bool:
@@ -188,13 +186,13 @@ def check_reduction_commutes(s: State) -> bool:
     advanced, slot_labels = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
     standard, rank_colors = reduce_advanced_to_standard(advanced)
     n_std = len(standard)
-    stepped_std = original_step(biword_to_state(standard, UNIT_CAPACITY, n_std))
+    stepped_std = carrier_step(biword_to_state(standard, UNIT_CAPACITY, n_std))
     bw_std = state_to_biword(stepped_std)
     advanced_next = BiWord(bw_std.top, tuple(rank_colors[r] for r in bw_std.bottom))
     generalized_next = make_biword(
         (slot_labels[i], c) for i, c in zip(advanced_next.top, advanced_next.bottom)
     )
-    return biword_to_state(generalized_next, s.capacities, s.n) == original_step(s)
+    return biword_to_state(generalized_next, s.capacities, s.n) == carrier_step(s)
 
 
 def q_independence_instance(rng: random.Random) -> bool | None:
@@ -214,7 +212,7 @@ def q_independence_instance(rng: random.Random) -> bool | None:
     evolved = []
     for p0 in candidates:
         sibling = biword_to_state(inverse_rsk(p0, q0), s.capacities, total)
-        evolved.append(q_symbol(original_step(sibling)))
+        evolved.append(q_symbol(carrier_step(sibling)))
     return evolved[0] == evolved[1] == q_evolve(q0, s.capacities)
 
 
@@ -334,7 +332,7 @@ def trajectory_block(
     for _ in range(history):
         states.insert(0, reverse_step(states[0]))
     for _ in range(future):
-        states.append(original_step(states[-1]))
+        states.append(carrier_step(states[-1]))
     lines = render_trajectory(states, "compact", span, anchor=False)
     return [now_index_prefixes.get(k, pad) + line for k, line in enumerate(lines)]
 
@@ -360,7 +358,7 @@ def _check_sec5_advanced_timeline(text: str) -> bool:
 def _check_one_step(text: str, notation: str) -> bool:
     lines = [line for line in text.splitlines() if line.strip()]
     before = parse_state(lines[0])
-    after = original_step(before)
+    after = carrier_step(before)
     if notation == "compact":
         rendered = render_state(after, "compact", (0, len(lines[0]) - 1), empty="e")
     else:

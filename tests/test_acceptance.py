@@ -15,7 +15,6 @@ from boxball.bbs import (
     carrier_step,
     evolve,
     label_carrier,
-    original_step,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -100,12 +99,12 @@ def test_criterion_5_generalized_goldens(fixtures):
     # advanced flavor: five color sub-steps end to end
     fig4 = (fixtures / "sec5_fig4_advanced.txt").read_text().splitlines()
     advanced = parse_state(fig4[0])
-    ok = render_state(original_step(advanced), "compact", (0, len(fig4[0]) - 1), empty="e") == fig4[1]
+    ok = render_state(carrier_step(advanced), "compact", (0, len(fig4[0]) - 1), empty="e") == fig4[1]
 
     # generalized flavor: one step in walled notation
     fig5 = (fixtures / "sec5_fig5_generalized.txt").read_text().splitlines()
     generalized = parse_state(fig5[0])
-    ok = ok and render_state(original_step(generalized), "walled", (1, 10)) == fig5[1]
+    ok = ok and render_state(carrier_step(generalized), "walled", (1, 10)) == fig5[1]
 
     # five-step capacity table, byte for byte
     table = (fixtures / "sec6_table1.txt").read_text().splitlines()
@@ -173,10 +172,10 @@ def test_criterion_6_p_conservation():
 def test_criterion_7_algorithm_equivalence():
     ok = True
     for s in corpus(1000, seed=102):
-        first = original_step(s)
-        ok = ok and first == carrier_step(s) == naive_original_step(s)
-        second = original_step(first)
-        ok = ok and second == carrier_step(first) == naive_original_step(first)
+        first = carrier_step(s)
+        ok = ok and first == naive_original_step(s)
+        second = carrier_step(first)
+        ok = ok and second == naive_original_step(first)
     report("7 algorithm equivalence 1000", ok)
 
 
@@ -194,7 +193,7 @@ def test_criterion_8_q_independence():
 
 
 def test_criterion_9_reversibility():
-    ok = all(reverse_step(original_step(s)) == s for s in corpus(1000, seed=104))
+    ok = all(reverse_step(carrier_step(s)) == s for s in corpus(1000, seed=104))
     report("9 reversibility 1000", ok)
 
 

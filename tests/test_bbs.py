@@ -16,8 +16,8 @@ from boxball.bbs import (
     carrier_step,
     evolve,
     label_carrier,
+    mirror,
     occupied_slots,
-    original_step,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -27,9 +27,11 @@ from boxball.bbs import (
     slot_word,
     state_to_biword,
     window,
+    window_labels,
 )
+from boxball.oracle import naive_original_step
 from boxball.rsk import dual
-from boxball.tableau import shape, tab, tableau
+from boxball.tableau import InvariantError, shape, tab, tableau
 from boxball.verify import (
     check_box_label,
     check_carrier_knuth,
@@ -104,6 +106,19 @@ def test_state_validation():
     assert s.balls == {5: (1, 2)}  # sorted, empties dropped
 
 
+def test_values_are_hashable_and_read_only():
+    same = State(5, {6: [5], 5: (1,), 3: (4,), 2: (3,), 1: (2,)})
+    assert same == SMALL and hash(same) == hash(SMALL)
+    assert len({SMALL, same, SMALL_NEXT}) == 2
+    assert hash(CapacityProfile({3: 1, 4: 2})) == hash(CapacityProfile({4: 2}))
+    assert len({WIDE, State(5, dict(WIDE.balls), CapacityProfile(dict(WIDE_CAPS.explicit)))}) == 1
+    with pytest.raises(TypeError):
+        SMALL.balls[99] = (7,)
+    with pytest.raises(TypeError):
+        WIDE_CAPS.explicit[1] = 9
+    assert 99 not in SMALL.balls and WIDE_CAPS.capacity(1) == 3
+
+
 # ---------------------------------------------------------------------------
 # windows and bi-words
 
@@ -173,24 +188,33 @@ def test_carrier_pass_is_knuth_rearrangement(carrier, word):
 # one-step evolution
 
 def test_original_step_reference():
-    assert original_step(SMALL) == SMALL_NEXT
-    assert original_step(State(4, {})) == State(4, {})
+    for step in (carrier_step, naive_original_step):
+        assert step(SMALL) == SMALL_NEXT
+        assert step(State(4, {})) == State(4, {})
 
 
 def test_original_step_generalized_reference():
-    stepped = original_step(WIDE)
-    assert stepped == State(
+    expected = State(
         5,
         {2: (5,), 3: (5,), 4: (1, 2, 4), 5: (3,), 6: (1,), 7: (2, 4), 8: (5,)},
         WIDE_CAPS,
     )
+    assert carrier_step(WIDE) == naive_original_step(WIDE) == expected
 
 
 def test_carrier_step_matches_original():
     assert carrier_step(SMALL) == SMALL_NEXT
     assert carrier_step(State(2, {})) == State(2, {})
     for s in corpus(150, seed=11):
-        assert carrier_step(s) == original_step(s)
+        assert carrier_step(s) == naive_original_step(s)
+
+
+def test_carrier_step_raises_when_the_carrier_keeps_a_ball(monkeypatch):
+    import boxball.bbs as bbs
+
+    monkeypatch.setattr(bbs, "carrier_pass", lambda carrier, word: (tuple(word), (1,) * len(carrier)))
+    with pytest.raises(InvariantError, match="sentinels"):
+        carrier_step(SMALL)
 
 
 def test_box_label_step_reference():
@@ -219,7 +243,21 @@ def test_reverse_step_reference():
 
 def test_reverse_undoes_step():
     for s in corpus(200, seed=3):
-        assert reverse_step(original_step(s)) == s
+        assert reverse_step(carrier_step(s)) == s
+
+
+def test_step_undoes_reverse():
+    for s in corpus(200, seed=4):
+        assert carrier_step(reverse_step(s)) == s
+
+
+def test_mirror_reference_and_involution():
+    assert mirror(SMALL) == State(5, {-1: (4,), -2: (3,), -3: (2,), -5: (5,), -6: (1,)})
+    mirrored = mirror(WIDE)
+    assert mirrored.capacities.capacity(-2) == 4 and mirrored.capacities.capacity(2) == 1
+    assert mirrored.balls[-2] == (1, 4, 5)
+    for s in corpus(200, seed=6):
+        assert mirror(mirror(s)) == s
 
 
 def test_q_evolve_reference_chain():
@@ -235,13 +273,21 @@ def test_q_evolve_matches_evolved_symbol():
     for s in corpus(100, seed=9, positive_labels=True):
         if s.is_empty():
             continue
-        assert q_evolve(q_symbol(s), s.capacities) == q_symbol(original_step(s))
+        assert q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
         assert shape(q_symbol(s)) == shape(p_symbol(s))
 
 
 def test_q_evolve_rejects_overfull_boxes():
     with pytest.raises(ValueError):
         q_evolve(tableau([[1, 1]]), UNIT_CAPACITY)
+
+
+def test_q_evolve_raises_when_the_shape_changes(monkeypatch):
+    import boxball.bbs as bbs
+
+    monkeypatch.setattr(bbs, "carrier_pass", lambda carrier, word: (tuple(sorted(word)), ()))
+    with pytest.raises(InvariantError, match="shape"):
+        q_evolve(tableau([[1, 2], [3]]), UNIT_CAPACITY)
 
 
 def test_carrier_knuth_consistency():
@@ -289,19 +335,24 @@ def test_slot_word_packs_vacancies_left():
     assert occupied_slots(SMALL) == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
 
 
+def test_window_labels_reference():
+    assert window_labels(WIDE_CAPS, 1, 9) == (1, 1, 1, 2, 2, 2, 2, 3, 4)
+    assert window_labels(WIDE_CAPS, 1, 9, {2, 4, 5}) == (1, 1, 2, 2, 3, 4)
+    assert window_labels(UNIT_CAPACITY, -2, 1) == (-2, -1, 0, 1)
+    assert window_labels(UNIT_CAPACITY, 3, 2) == ()
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
 def test_evolve_agrees_across_algorithms():
-    for algorithm in ("original", "carrier"):
-        states = evolve(SMALL, 3, algorithm)
-        assert len(states) == 4
-        assert states[0] == SMALL and states[1] == SMALL_NEXT
+    states = evolve(SMALL, 3)
+    assert len(states) == 4
+    assert states[0] == SMALL and states[1] == SMALL_NEXT
+    assert all(b == naive_original_step(a) for a, b in zip(states, states[1:]))
     assert evolve(SMALL, 0) == [SMALL]
     with pytest.raises(ValueError):
         evolve(SMALL, -1)
-    with pytest.raises(ValueError):
-        evolve(SMALL, 1, "bogus")
 
 
 def test_p_symbol_conserved_on_reference():
@@ -380,4 +431,4 @@ def test_q_symbol_ignores_colors():
         s_b = biword_to_state(inverse_rsk(p_b, q0), UNIT_CAPACITY, 3)
         assert q_symbol(s_a) == q_symbol(s_b) == q0
         assert s_a != s_b
-        assert q_symbol(original_step(s_a)) == q_symbol(original_step(s_b))
+        assert q_symbol(carrier_step(s_a)) == q_symbol(carrier_step(s_b))

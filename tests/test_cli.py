@@ -25,14 +25,6 @@ def test_evolve_compact_with_span(capsys, tmp_path):
     assert out == "_234_15___\n____23_145\n"
 
 
-def test_evolve_carrier_algorithm_agrees(capsys, tmp_path):
-    src = tmp_path / "state.txt"
-    src.write_text("_234_15\n")
-    _, original = run_cli(capsys, "evolve", str(src), "--steps", "3")
-    _, carrier = run_cli(capsys, "evolve", str(src), "--steps", "3", "--algorithm", "carrier")
-    assert original == carrier
-
-
 def test_rsk_output_shows_biword_and_dual(capsys, tmp_path):
     src = tmp_path / "state.txt"
     src.write_text("@1 234_15\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from boxball.bbs import CapacityProfile, State, original_step
+from boxball.bbs import CapacityProfile, State, carrier_step
 from boxball.notation import StateParseError, parse_state, render_state, render_trajectory
 
 
@@ -48,6 +48,16 @@ def test_walled_wide_colors_round_trip():
     assert render_state(s, "walled") == "|e 12|3|"
 
 
+def test_walled_wide_colors_one_token_per_box_round_trip():
+    s = State(12, {1: (12,)})
+    assert render_state(s, "walled") == "| 12|"
+    assert parse_state(render_state(s, "walled"), colors=12) == s
+    for s in (State(12, {1: (12,), 2: (3,)}), State(10, {-4: (10,), 0: (1,)})):
+        assert parse_state(render_state(s, "walled"), colors=s.n) == s
+        assert parse_state(render_state(s, "walled") + "+1", colors=s.n) == s
+    assert parse_state("|e 12|34|", colors=34).balls == {1: (12,), 2: (34,)}
+
+
 def test_parse_default_capacity_suffix():
     s = parse_state("|12|e|+3")
     assert s.capacities.default == 3
@@ -73,13 +83,13 @@ def test_parse_errors():
 
 
 def test_render_compact_reference():
-    stepped = original_step(parse_state("@1 234_15", colors=5))
+    stepped = carrier_step(parse_state("@1 234_15", colors=5))
     assert render_state(stepped, "compact", (0, 9)) == "____23_145"
 
 
 def test_render_walled_reference():
     s = parse_state("|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|")
-    assert render_state(original_step(s), "walled", (1, 10)) == (
+    assert render_state(carrier_step(s), "walled", (1, 10)) == (
         "|eee|eee5|5|124|e3|ee1|24|5|eeeee|ee|"
     )
 
@@ -134,6 +144,6 @@ def test_state_render_parse_roundtrip_random():
 
 def test_render_trajectory_common_span():
     s = parse_state("@1 234_15", colors=5)
-    lines = render_trajectory([s, original_step(s)])
+    lines = render_trajectory([s, carrier_step(s)])
     assert lines == ["@1 234_15___", "@1 ___23_145"]
     assert render_trajectory([State(2, {}), State(2, {})]) == ["", ""]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxball.bbs import State, original_step
+from boxball.bbs import State, carrier_step
 from boxball.knuth import knuth_equivalent
 from boxball.notation import parse_state, render_state
 from boxball.oracle import SearchInconclusive, bfs_knuth_equivalent, naive_original_step
@@ -51,4 +51,4 @@ def test_naive_step_matches_fast_path():
     rng = random.Random(17)
     for _ in range(200):
         s = random_state(rng)
-        assert naive_original_step(s) == original_step(s)
+        assert naive_original_step(s) == carrier_step(s)

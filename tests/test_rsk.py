@@ -16,7 +16,7 @@ from boxball.rsk import (
     rsk,
     transpose,
 )
-from boxball.tableau import EMPTY_TABLEAU, shape, tab, tableau
+from boxball.tableau import EMPTY_TABLEAU, InvariantError, shape, tab, tableau
 
 columns = st.lists(
     st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)),
@@ -64,6 +64,15 @@ def test_rsk_trivia():
     p, q = rsk(BiWord((1, 2, 3, 5, 6), (2, 3, 4, 1, 5)))
     assert p == tableau([[1, 3, 4, 5], [2]])
     assert q == tableau([[1, 2, 3, 6], [5]])
+
+
+def test_rsk_raises_when_bumping_skips_a_column(monkeypatch):
+    import sys
+
+    # the package re-exports the function rsk under the submodule's name
+    monkeypatch.setattr(sys.modules["boxball.rsk"], "_insert", lambda rows, x: (1, 5))
+    with pytest.raises(InvariantError, match="column 5"):
+        rsk(BiWord((1,), (1,)))
 
 
 def test_inverse_rsk_reference():
