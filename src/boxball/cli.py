@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bbs import (
@@ -34,22 +33,6 @@ from .tableau import render_tableau
 from .verify import run_verification
 
 
-@dataclass
-class RunConfig:
-    command: str
-    steps: int = 0
-    notation: str | None = None
-    seed: int = 0
-    cases: int = 100
-    input_path: str = "-"
-    output_path: str | None = None
-    colors: int | None = None
-    span: tuple[int, int] | None = None
-    empty: str = "_"
-    mode: str = "labels"
-    fixtures: str | None = None
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -58,73 +41,76 @@ def _read_input(path: str) -> str:
 
 def _parse_span(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
 
 
-def _load_state(config: RunConfig):
-    text = _read_input(config.input_path)
+def _load_state(args: argparse.Namespace):
+    text = _read_input(args.input)
     first = next((line for line in text.splitlines() if line.strip()), "")
-    return parse_state(first, config.colors)
+    return parse_state(first, args.colors)
 
 
-def _emit(config: RunConfig, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _pick_notation(config: RunConfig, states) -> str:
-    if config.notation:
-        return config.notation
+def _pick_notation(args: argparse.Namespace, states) -> str:
+    if args.notation:
+        return args.notation
     walled = any(
         s.capacities.explicit or s.capacities.default != 1 for s in states
     )
     return "walled" if walled else "compact"
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    states = evolve(_load_state(config), config.steps)
-    notation = _pick_notation(config, states)
-    anchor = config.span is None  # an explicit window is already anchored
-    _emit(config, render_trajectory(states, notation, config.span, config.empty, anchor))
+def cmd_evolve(args: argparse.Namespace) -> int:
+    states = evolve(_load_state(args), args.steps)
+    notation = _pick_notation(args, states)
+    anchor = args.span is None  # an explicit window is already anchored
+    _emit(args, render_trajectory(states, notation, args.span, args.empty, anchor))
     return 0
 
 
-def cmd_rsk(config: RunConfig) -> int:
-    s = _load_state(config)
+def cmd_rsk(args: argparse.Namespace) -> int:
+    s = _load_state(args)
     bw = state_to_biword(s)
     p, q = rsk(bw)
     lines = ["biword:", render_biword(bw), "dual:", render_biword(dual(bw))]
     lines += ["P:", render_tableau(p), "Q:", render_tableau(q)]
-    _emit(config, lines)
+    _emit(args, lines)
     return 0
 
 
-def cmd_dual(config: RunConfig) -> int:
-    _emit(config, [render_biword(dual(state_to_biword(_load_state(config))))])
+def cmd_dual(args: argparse.Namespace) -> int:
+    _emit(args, [render_biword(dual(state_to_biword(_load_state(args))))])
     return 0
 
 
-def cmd_qsymbol(config: RunConfig) -> int:
-    s = _load_state(config)
+def cmd_qsymbol(args: argparse.Namespace) -> int:
+    s = _load_state(args)
     q = q_symbol(s)
     lines = []
-    for t in range(config.steps + 1):
+    for t in range(args.steps + 1):
         lines += [f"t={t}", render_tableau(q), ""]
-        if t < config.steps:
+        if t < args.steps:
             q = q_evolve(q, s.capacities)
-    _emit(config, lines[:-1])
+    _emit(args, lines[:-1])
     return 0
 
 
-def cmd_trace(config: RunConfig) -> int:
-    s = _load_state(config)
+def cmd_trace(args: argparse.Namespace) -> int:
+    s = _load_state(args)
     if s.is_empty():
-        _emit(config, ["(empty state: nothing to trace)"])
+        _emit(args, ["(empty state: nothing to trace)"])
         return 0
-    if config.mode == "labels":
+    if args.mode == "labels":
         carrier = label_carrier(s)
         word = box_label_sequence(s)
         show = str
@@ -143,14 +129,14 @@ def cmd_trace(config: RunConfig) -> int:
         if k < len(word):
             out, carrier = carrier_pass(carrier, (word[k],))
             emitted.extend(out)
-    _emit(config, lines)
+    _emit(args, lines)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    fixtures = Path(config.fixtures) if config.fixtures else None
-    report = run_verification(config.seed, config.cases, fixtures)
-    _emit(config, report.lines())
+def cmd_verify(args: argparse.Namespace) -> int:
+    fixtures = Path(args.fixtures) if args.fixtures else None
+    report = run_verification(args.seed, args.cases, fixtures)
+    _emit(args, report.lines())
     return 0 if report.ok else 1
 
 
@@ -167,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_args(p)
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--notation", choices=["compact", "walled"], default=None)
-    p.add_argument("--span", default=None, help="label range LO:HI to show")
+    p.add_argument("--span", type=_parse_span, default=None, help="label range LO:HI to show")
     p.add_argument("--empty-char", dest="empty", default="_", choices=["_", "e"])
 
     p = sub.add_parser("rsk", help="print the bi-word, its dual, and the tableau pair")
@@ -192,20 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("steps", "notation", "seed", "cases", "colors", "empty", "mode", "fixtures"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "input", None) is not None:
-        config.input_path = args.input
-    if getattr(args, "output", None) is not None:
-        config.output_path = args.output
-    if getattr(args, "span", None):
-        config.span = _parse_span(args.span)
-    return config
-
-
 COMMANDS = {
     "evolve": cmd_evolve,
     "rsk": cmd_rsk,
@@ -216,14 +188,10 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return COMMANDS[config.command](config)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = run(config_from_args(args))
+        code = COMMANDS[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,8 +2,10 @@
 
 Compact notation (capacity-1 boxes only): one token per box, ``_`` or
 ``e`` for an empty box, a digit for the ball color.  When any color
-exceeds 9 the tokens are whitespace-separated instead.  An optional
-leading ``@<label>`` fixes the label of the first shown box (default 0).
+exceeds 9 the tokens are whitespace-separated instead, and a one-box text
+gets a trailing vacancy (``12 _``) so that it still holds a space.  An
+optional leading ``@<label>`` fixes the label of the first shown box
+(default 0).  Box labels may be any integers.
 
 Walled notation (arbitrary capacities): boxes delimited by ``|``, each
 box a token string whose length is the box capacity, e.g. ``|ee5|e125|4|``.
@@ -144,6 +146,8 @@ def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str
         colors = s.balls.get(j, ())
         tokens.append(str(colors[0]) if colors else empty)
     wide = s.n > 9
+    if wide and len(tokens) == 1:  # one token: a trailing vacancy marks the token mode
+        tokens.append(empty)
     body = (" " if wide else "").join(tokens)
     return body if lo == 0 or not anchor else f"@{lo} {body}"
 

@@ -4,8 +4,7 @@ A bi-word is a pair of equal-length integer rows whose columns sit in
 lexicographic order (top weakly increasing, bottom weakly increasing
 within each run of equal top entries).  ``rsk`` sends a bi-word to its
 insertion tableau P and recording tableau Q; ``inverse_rsk`` is the exact
-inverse.  Entries of a bi-word may be any integers, but RSK itself needs
-positive entries on both rows since tableau letters are positive.
+inverse.  Entries on both rows may be any integers, of either sign.
 """
 
 from __future__ import annotations
@@ -68,8 +67,6 @@ def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, j in zip(bw.top, bw.bottom):
-        if j < 1 or i < 1:
-            raise ValueError("RSK needs positive entries in both rows")
         r, c = _insert(p_rows, j)
         if r > len(q_rows):
             q_rows.append([])

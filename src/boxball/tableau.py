@@ -1,6 +1,6 @@
 """Young tableaux and the row-insertion (bumping) algorithm.
 
-A word is a tuple of positive integers.  A tableau is stored row by row,
+A word is a tuple of integers of any sign.  A tableau is stored row by row,
 top row first; entries weakly increase along each row and strictly
 increase down each column.  ``tab`` folds a word into a tableau by
 bumping letters in from the left, ``word_of`` reads the tableau back,
@@ -22,12 +22,8 @@ class InvariantError(RuntimeError):
 
 
 def as_word(letters: Iterable[int]) -> Word:
-    """Normalize an iterable of letters to a Word, checking positivity."""
-    word = tuple(int(x) for x in letters)
-    for i, x in enumerate(word):
-        if x < 1:
-            raise ValueError(f"letter {x} at position {i} is not a positive integer")
-    return word
+    """Normalize an iterable of letters to a Word of plain ints."""
+    return tuple(int(x) for x in letters)
 
 
 @dataclass(frozen=True)
@@ -42,8 +38,6 @@ class Tableau:
         for r, row in enumerate(rows):
             if not row:
                 raise ValueError(f"row {r + 1} is empty")
-            if any(x < 1 for x in row):
-                raise ValueError(f"row {r + 1} contains a non-positive entry")
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {r + 1} is not weakly increasing")
             if r > 0:
@@ -93,11 +87,8 @@ def row_insert(t: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
     appeared, both 1-indexed.  The result has exactly one more box than
     ``t``.
     """
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"letter {x} is not a positive integer")
     rows = [list(row) for row in t.rows]
-    pos = _insert(rows, x)
+    pos = _insert(rows, int(x))
     return Tableau(tuple(tuple(row) for row in rows)), pos
 
 

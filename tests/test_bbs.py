@@ -54,9 +54,9 @@ WIDE = State(
 )
 
 
-def corpus(count, seed=0, **kwargs):
+def corpus(count, seed=0):
     rng = random.Random(seed)
-    return [random_state(rng, **kwargs) for _ in range(count)]
+    return [random_state(rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def test_q_evolve_reference_chain():
 
 
 def test_q_evolve_matches_evolved_symbol():
-    for s in corpus(100, seed=9, positive_labels=True):
+    for s in corpus(100, seed=9):
         if s.is_empty():
             continue
         assert q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
@@ -309,7 +309,7 @@ def test_carrier_pass_respects_knuth_classes():
     rng = random.Random(31)
     checked = 0
     while checked < 120:
-        s = random_state(rng, positive_labels=True)
+        s = random_state(rng)
         if s.is_empty():
             continue
         checked += 1
@@ -325,6 +325,45 @@ def test_carrier_pass_respects_knuth_classes():
         out_b, final_b = carrier_pass(carrier, other)
         assert final_a == final_b
         assert knuth_equivalent(out_a, out_b)
+
+
+# ---------------------------------------------------------------------------
+# translation
+
+def shifted(s, k):
+    """The same state with every ball and every explicit capacity k boxes to the right."""
+    caps = CapacityProfile({j + k: c for j, c in s.capacities.explicit.items()}, s.capacities.default)
+    return State(s.n, {j + k: colors for j, colors in s.balls.items()}, caps)
+
+
+def shifted_tableau(t, k):
+    return tableau([[x + k for x in row] for row in t.rows])
+
+
+def test_translation_equivariance():
+    """Results at labels <= 0 are the results at positive labels, moved back.
+
+    Each state is compared with its copy moved wholly to labels >= 1 and
+    with a copy moved far to the left, in both directions.
+    """
+    states = [s for s in corpus(150, seed=41) if not s.is_empty()]
+    states.append(shifted(WIDE, -9))
+    states.append(State(3, {0: (2,), -1: (3,), -3: (1, 3, 3)}, CapacityProfile({-3: 3}, 2)))
+    assert sum(min(s.balls) <= 0 for s in states) > 50
+    for s in states:
+        lowest = min(min(s.balls), min(s.capacities.explicit, default=0))
+        for k in (1 - lowest, -20):
+            moved = shifted(s, k)
+            assert p_symbol(moved) == p_symbol(s)
+            assert q_symbol(moved) == shifted_tableau(q_symbol(s), k)
+            assert q_evolve(q_symbol(moved), moved.capacities) == shifted_tableau(
+                q_evolve(q_symbol(s), s.capacities), k
+            )
+            labels, final = box_label_step(s)
+            assert box_label_step(moved) == (
+                tuple(b + k for b in labels), tuple(c + k for c in final)
+            )
+            assert carrier_step(moved) == shifted(carrier_step(s), k)
 
 
 # ---------------------------------------------------------------------------

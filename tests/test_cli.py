@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from boxball.cli import main
 
 
@@ -136,3 +143,41 @@ def test_stdin_input(capsys, monkeypatch):
     code, out = run_cli(capsys, "evolve", "--steps", "1")
     assert code == 0
     assert out == "1_\n_1\n"
+
+
+def test_rsk_and_qsymbol_at_labels_up_to_zero(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("1_2\n"))
+    code, out = run_cli(capsys, "qsymbol", "--steps", "2")
+    assert code == 0
+    assert out == "t=0\n0 2\n\nt=1\n1 3\n\nt=2\n2 4\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("1_2\n"))
+    code, out = run_cli(capsys, "rsk")
+    assert code == 0
+    assert out == "biword:\n0 2\n1 2\ndual:\n1 2\n0 2\nP:\n1 2\nQ:\n0 2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("@-3 12__\n"))
+    code, out = run_cli(capsys, "rsk")
+    assert code == 0
+    assert out == "biword:\n-3 -2\n1 2\ndual:\n1 2\n-3 -2\nP:\n1 2\nQ:\n-3 -2\n"
+
+
+def test_bad_span_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["evolve", "--span", "3"])
+    assert exit_.value.code == 2
+    assert "expected LO:HI" in capsys.readouterr().err
+
+
+def test_verify_passes_with_asserts_stripped():
+    """``python -O`` removes ``assert`` statements; every invariant must still be checked."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "boxball", "verify", "--seed", "1", "--cases", "20",
+         "--fixtures", "tests/fixtures"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all checks passed"

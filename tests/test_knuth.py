@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from boxball.knuth import elementary_moves, knuth_equivalent, strip_largest
 from boxball.tableau import tab
 
-words = st.lists(st.integers(min_value=1, max_value=4), max_size=8).map(tuple)
+words = st.lists(st.integers(min_value=-3, max_value=4), max_size=8).map(tuple)
 
 CHAIN_A = (5, 1, 5, 2, 4, 3, 1, 2, 4, 5)
 CHAIN_B = (5, 4, 1, 5, 2, 1, 3, 2, 4, 5)

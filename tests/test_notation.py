@@ -56,6 +56,13 @@ def test_walled_wide_colors_one_token_per_box_round_trip():
         assert parse_state(render_state(s, "walled"), colors=s.n) == s
         assert parse_state(render_state(s, "walled") + "+1", colors=s.n) == s
     assert parse_state("|e 12|34|", colors=34).balls == {1: (12,), 2: (34,)}
+    # the compact counterpart: a one-box body gets a trailing vacancy
+    s = State(12, {0: (12,)})
+    assert render_state(s) == "12 _"
+    assert parse_state(render_state(s), colors=12) == s
+    s = State(12, {5: (12,)})
+    assert render_state(s) == "@5 12 _"
+    assert parse_state(render_state(s), colors=12) == s
 
 
 def test_parse_default_capacity_suffix():

@@ -10,7 +10,7 @@ from boxball.notation import parse_state, render_state
 from boxball.oracle import SearchInconclusive, bfs_knuth_equivalent, naive_original_step
 from boxball.verify import random_state
 
-words = st.lists(st.integers(min_value=1, max_value=4), max_size=8).map(tuple)
+words = st.lists(st.integers(min_value=-3, max_value=4), max_size=8).map(tuple)
 
 
 def test_bfs_reference_pair():

@@ -19,7 +19,7 @@ from boxball.rsk import (
 from boxball.tableau import EMPTY_TABLEAU, InvariantError, shape, tab, tableau
 
 columns = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)),
+    st.tuples(st.integers(min_value=-3, max_value=6), st.integers(min_value=-3, max_value=6)),
     max_size=10,
 )
 biwords = columns.map(make_biword)

@@ -17,7 +17,7 @@ from boxball.tableau import (
     word_of,
 )
 
-words = st.lists(st.integers(min_value=1, max_value=7), max_size=12).map(tuple)
+words = st.lists(st.integers(min_value=-3, max_value=7), max_size=12).map(tuple)
 
 
 def test_bumping_reference_word():
@@ -64,13 +64,20 @@ def test_tableau_word_predicate():
         ((2, 1),),  # row decreases
         ((1,), (1,)),  # column not strict
         ((1,), (2, 3)),  # lengths not a shape
-        ((0,),),  # non-positive letter
+        ((-1, 0), (-1,)),  # column not strict among non-positive letters
         ((1,), ()),  # empty row
     ],
 )
 def test_invalid_tableaux_rejected(rows):
     with pytest.raises(ValueError):
         Tableau(rows)
+
+
+def test_letters_of_any_sign():
+    t = Tableau(((-1, 0), (2,)))
+    assert word_of(t) == (2, -1, 0)
+    assert tab(word_of(t)) == t
+    assert row_insert(t, -5) == (tableau([[-5, 0], [-1], [2]]), (3, 1))
 
 
 @given(words)
@@ -82,7 +89,7 @@ def test_tab_word_roundtrip(w):
     assert Counter(word_of(t)) == Counter(w)
 
 
-@given(words, st.integers(min_value=1, max_value=7))
+@given(words, st.integers(min_value=-3, max_value=7))
 def test_row_insert_grows_by_one_box(w, x):
     t = tab(w)
     grown, (r, c) = row_insert(t, x)
