@@ -27,7 +27,7 @@ right by at most the ball count N, so magnitudes stay small at desk scale.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -42,23 +42,49 @@ LabelSequence = tuple[int, ...]  # box labels listed per ascending ball color
 
 @dataclass(frozen=True)
 class CapacityProfile:
-    """Per-box capacities: explicit overrides over a default for all other boxes."""
+    """Per-box capacities: explicit overrides over a default for all other boxes.
+
+    The slot-label mapping is a table built once, at construction: the
+    sorted explicit labels, the boundary d(k) at each of them, and the
+    prefix sums of their excess capacity over the default.  Between two
+    explicit labels every box has the default capacity, so ``slot_end``
+    is one ``bisect_right`` plus a prefix sum and ``label_of_slot`` one
+    ``bisect_left`` plus a ceiling division.  With no explicit entries the
+    table is empty and both reduce to the closed forms ``label * default``
+    and ``ceil(slot / default)``.  The table is derived from
+    ``explicit`` and ``default``, and ``==``, ``hash`` and ``repr`` ignore it.
+    """
 
     explicit: Mapping[int, int] = field(default_factory=dict)
     default: int = 1
+    # sorted explicit labels, d(label) at each, and the excess sums: d(j) = j * default +
+    # _excess[i] for every j with bisect_right(_labels, j) == i
+    _labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _excess: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if int(self.default) < 1:
             raise ValueError(f"default capacity {self.default} must be at least 1")
-        object.__setattr__(self, "default", int(self.default))
+        default = int(self.default)
+        object.__setattr__(self, "default", default)
         explicit = {}
         for label, cap in self.explicit.items():
             label, cap = int(label), int(cap)
             if cap < 1:
                 raise ValueError(f"capacity {cap} of box {label} must be at least 1")
-            if cap != self.default:
+            if cap != default:
                 explicit[label] = cap
         object.__setattr__(self, "explicit", MappingProxyType(explicit))
+        labels = tuple(sorted(explicit))
+        sums = [0]
+        for label in labels:
+            sums.append(sums[-1] + explicit[label] - default)
+        base = sums[bisect_right(labels, 0)]  # so that d(0) = 0
+        excess = tuple(x - base for x in sums)
+        ends = tuple(k * default + excess[i + 1] for i, k in enumerate(labels))
+        for name, value in (("_labels", labels), ("_ends", ends), ("_excess", excess)):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash((frozenset(self.explicit.items()), self.default))
@@ -68,38 +94,18 @@ class CapacityProfile:
 
     def slot_end(self, label: int) -> int:
         """Cumulative boundary d(label); box j owns slots d(j-1)+1 .. d(j)."""
-        total = label * self.default
-        if label >= 0:
-            for k, cap in self.explicit.items():
-                if 1 <= k <= label:
-                    total += cap - self.default
-        else:
-            for k, cap in self.explicit.items():
-                if label + 1 <= k <= 0:
-                    total -= cap - self.default
-        return total
+        return label * self.default + self._excess[bisect_right(self._labels, label)]
 
     def slot_range(self, label: int) -> tuple[int, int]:
         """Inclusive slot interval owned by one box."""
         return self.slot_end(label - 1) + 1, self.slot_end(label)
 
     def label_of_slot(self, slot: int) -> int:
-        """Label of the box owning a slot index."""
-        if slot > 0:
-            lo, hi = 0, 1
-            while self.slot_end(hi) < slot:
-                hi *= 2
-        else:
-            lo, hi = -1, 0
-            while self.slot_end(lo) >= slot:
-                lo *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.slot_end(mid) >= slot:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        """Label of the box owning a slot index: the least j with d(j) >= slot."""
+        i = bisect_left(self._ends, slot)
+        # in the gap of default-capacity boxes before explicit label i
+        label = -((self._excess[i] - slot) // self.default)
+        return label if i == len(self._labels) else min(label, self._labels[i])
 
 
 UNIT_CAPACITY = CapacityProfile()

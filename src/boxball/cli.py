@@ -73,8 +73,7 @@ def _pick_notation(args: argparse.Namespace, states) -> str:
 def cmd_evolve(args: argparse.Namespace) -> int:
     states = evolve(_load_state(args), args.steps)
     notation = _pick_notation(args, states)
-    anchor = args.span is None  # an explicit window is already anchored
-    _emit(args, render_trajectory(states, notation, args.span, args.empty, anchor))
+    _emit(args, render_trajectory(states, notation, args.span, args.empty))
     return 0
 
 

@@ -3,7 +3,9 @@
 The sampler draws states with at most 6 colors, 12 balls, capacity 4 per
 box, and boxes spanning at most 30 labels from a first label in -5..5, so
 labels of either sign reach every suite; with a fixed seed the whole run
-is deterministic, so any failure is reproducible from the seed alone.
+is deterministic, so any failure is reproducible from the seed alone.  A
+failing state suite also prints its first failing case: the case index
+and a ``boxball evolve`` command on the state in anchored walled text.
 """
 
 from __future__ import annotations
@@ -213,6 +215,7 @@ class SuiteResult:
     name: str
     passed: int = 0
     failed: int = 0
+    first_failure: tuple[int, State] | None = None  # (case index, state) of a state suite
 
     @property
     def ok(self) -> bool:
@@ -221,6 +224,24 @@ class SuiteResult:
     def line(self) -> str:
         verdict = "ok" if self.ok else "FAIL"
         return f"{self.name}: {self.passed}/{self.passed + self.failed} {verdict}"
+
+    def lines(self) -> list[str]:
+        """The suite line, then a replay command for its first failing case, if any."""
+        if self.first_failure is None:
+            return [self.line()]
+        case, s = self.first_failure
+        return [self.line(), f"  first failure, case {case}: {_replay_command(s)}"]
+
+
+def _replay_command(s: State) -> str:
+    """A ``boxball evolve`` command on the state in anchored walled text.
+
+    The span covers every ball and explicit capacity, and ``--colors``
+    restores the color count, so the text re-parses to ``s``.
+    """
+    labels = [*s.balls, *s.capacities.explicit] or [1]
+    text = render_state(s, "walled", (min(labels), max(labels)))
+    return f"echo '{text}' | boxball evolve --colors {s.n}"
 
 
 @dataclass
@@ -232,7 +253,7 @@ class VerifyReport:
         return all(r.ok for r in self.suites)
 
     def lines(self) -> list[str]:
-        out = [r.line() for r in self.suites]
+        out = [line for r in self.suites for line in r.lines()]
         out.append("all checks passed" if self.ok else "SOME CHECKS FAILED")
         return out
 
@@ -241,12 +262,14 @@ def _state_suite(
     name: str, check: Callable[[State], bool], rng: random.Random, cases: int
 ) -> SuiteResult:
     result = SuiteResult(name)
-    for _ in range(cases):
+    for case in range(cases):
         s = random_state(rng)
         if check(s):
             result.passed += 1
         else:
             result.failed += 1
+            if result.first_failure is None:
+                result.first_failure = (case, s)
     return result
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxball.bbs import (
@@ -72,17 +72,67 @@ def test_capacity_profile_normalizes():
         CapacityProfile({}, 0)
 
 
-def test_slot_ranges_tile_the_line():
-    p = CapacityProfile({-1: 4, 2: 3}, 2)
+def _summed_slot_end(p, label):
+    """d(label) as a sum of capacity(k), box by box over -60..60; every key lies in -50..50."""
+    lo, hi = sorted((0, label))  # d sums the boxes lo+1..hi, negated when label < 0
+    near = range(max(lo + 1, -60), min(hi, 60) + 1)
+    total = sum(p.capacity(k) for k in near) + p.default * (hi - lo - len(near))
+    return total if label >= 0 else -total
+
+
+@given(
+    st.dictionaries(st.integers(-50, 50), st.integers(1, 5), max_size=12),
+    st.integers(1, 3),
+    st.lists(st.integers(-60, 60) | st.integers(-10**6, 10**6), min_size=1, max_size=8),
+)
+@example({-1: 4, 2: 3}, 2, [0, -6, 5])
+def test_slot_ranges_tile_the_line(explicit, default, points):
+    p = CapacityProfile(explicit, default)
     assert p.slot_end(0) == 0
-    previous_end = p.slot_end(-6)
-    for label in range(-5, 6):
+    previous_end = p.slot_end(-53)
+    for label in range(-52, 53):
         start, end = p.slot_range(label)
         assert start == previous_end + 1
         assert end - start + 1 == p.capacity(label)
-        for slot in range(start, end + 1):
-            assert p.label_of_slot(slot) == label
+        assert [p.label_of_slot(slot) for slot in range(start, end + 1)] == [label] * (end - start + 1)
         previous_end = end
+    for x in points:
+        assert p.slot_end(x) == _summed_slot_end(p, x)
+        start, end = p.slot_range(x)
+        assert start == _summed_slot_end(p, x - 1) + 1
+        assert p.label_of_slot(start) == p.label_of_slot(end) == x
+        start, end = p.slot_range(p.label_of_slot(x))
+        assert start <= x <= end
+
+
+def test_profile_table_is_not_part_of_the_value():
+    a = CapacityProfile({-3: 1, 4: 3}, 2)
+    b = CapacityProfile({4: 3, -3: 1, 7: 2}, 2)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "CapacityProfile(explicit=mappingproxy({-3: 1, 4: 3}), default=2)"
+    shown = repr(b)
+    for name in ("_labels", "_ends", "_excess"):
+        object.__setattr__(b, name, ())
+    assert a == b and hash(a) == hash(b) and repr(b) == shown
+
+
+class _Unscannable(dict):
+    """Answers ``get`` but refuses to be walked."""
+
+    def __iter__(self):
+        raise AssertionError("the explicit capacities were walked")
+
+    items = keys = values = __iter__
+
+
+def test_hot_paths_do_not_walk_the_explicit_capacities():
+    for s in (WIDE, mirror(WIDE), State(3, {-2: (1, 3), 0: (2,)}, CapacityProfile({-2: 2, 5: 4}, 2))):
+        expected = (carrier_step(s).balls, q_evolve(q_symbol(s), s.capacities), label_carrier(s))
+        profile = CapacityProfile(s.capacities.explicit, s.capacities.default)
+        object.__setattr__(profile, "explicit", _Unscannable(profile.explicit))
+        guarded = State(s.n, s.balls, profile)
+        got = (carrier_step(guarded).balls, q_evolve(q_symbol(guarded), profile), label_carrier(guarded))
+        assert got == expected
 
 
 @given(

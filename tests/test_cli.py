@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from boxball.cli import main
+from boxball.notation import parse_state
 
 
 def run_cli(capsys, *argv):
@@ -181,3 +183,52 @@ def test_verify_passes_with_asserts_stripped():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("text, span", [("_234_15", "-2:12"), ("@-1|e1|2|e|+2", "-3:4")])
+def test_evolve_with_span_keeps_the_labels(capsys, monkeypatch, text, span):
+    import io
+
+    lines = []
+    for extra in ((), (f"--span={span}",)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run_cli(capsys, "evolve", "--steps", "2", "--colors", "5", *extra)
+        assert code == 0
+        lines.append(out.splitlines())
+    plain, spanned = lines
+    assert spanned[0].startswith(f"@{span.split(':')[0]}")
+    assert [parse_state(x, 5) for x in spanned] == [parse_state(x, 5) for x in plain]
+
+
+def test_compact_output_rejects_a_wider_box(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("@-4|1|e2|ee|3|\n"))
+    assert main(["evolve", "--notation", "compact"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: compact notation needs capacity 1 everywhere, but box -3 differs\n"
+
+
+def test_verify_prints_the_first_failing_case(capsys, monkeypatch):
+    import boxball.verify as verify
+
+    _, passing = run_cli(capsys, "verify", "--seed", "1", "--cases", "20")
+    assert re.fullmatch(r"(\S+: (\d+)/\2 ok\n){9}all checks passed\n", passing)
+
+    seen = []
+
+    def check(s):
+        return not (s.capacities.explicit and s.ball_count > 8)
+
+    monkeypatch.setattr(verify, "check_reversible", lambda s: seen.append(s) or check(s))
+    code, out = run_cli(capsys, "verify", "--seed", "1", "--cases", "20")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index(f"reversibility: {sum(map(check, seen))}/20 FAIL")
+    m = re.fullmatch(r"  first failure, case (\d+): echo '(.+)' \| boxball evolve --colors (\d+)", lines[at + 1])
+    case, text, colors = int(m[1]), m[2], int(m[3])
+    assert parse_state(text, colors) == seen[case]
+    assert not check(seen[case]) and all(map(check, seen[:case]))
+    assert case > 0 and "@" in text
+    rest = lines[:at] + lines[at + 2:-1]
+    assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith("reversibility:")]
