@@ -27,9 +27,10 @@ right by at most the ball count N, so magnitudes stay small at desk scale.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -89,6 +90,11 @@ class CapacityProfile:
     def __hash__(self) -> int:
         return hash((frozenset(self.explicit.items()), self.default))
 
+    @property
+    def is_unit(self) -> bool:
+        """Capacity 1 in every box."""
+        return self.default == 1 and not self.explicit
+
     def capacity(self, label: int) -> int:
         return self.explicit.get(label, self.default)
 
@@ -123,14 +129,15 @@ class State:
         if self.n < 0:
             raise ValueError("number of colors must be nonnegative")
         balls: dict[int, Word] = {}
+        capacity = self.capacities.capacity
         for label, colors in self.balls.items():
             label = int(label)
-            colors = tuple(sorted(int(c) for c in colors))
+            colors = tuple(sorted(map(int, colors)))
             if not colors:
                 continue
             if colors[0] < 1 or colors[-1] > self.n:
                 raise ValueError(f"box {label} holds a color outside 1..{self.n}")
-            cap = self.capacities.capacity(label)
+            cap = capacity(label)
             if len(colors) > cap:
                 raise ValueError(f"box {label} holds {len(colors)} balls but has capacity {cap}")
             balls[label] = colors
@@ -234,20 +241,27 @@ def carrier_pass(carrier: Iterable[int], word: Iterable[int]) -> tuple[Word, Car
     in its place.  Returns the unloaded word and the final carrier.  Every
     exchange is an elementary Knuth rearrangement, so the concatenations
     satisfy tab(carrier + word) == tab(word' + carrier').
+
+    The carrier is the sorted list ``load[start:]`` and is updated in
+    place, with one bisection per letter and no shifting of the list.  If
+    ``load[i]`` is the least element above x, then ``load[i-1] <= x <
+    load[i]``, so x takes over index i and the order holds.  If nothing
+    exceeds x, the minimum ``load[start]`` leaves by advancing ``start``
+    and x, now the largest, is appended.
     """
-    load = sorted(int(x) for x in carrier)
+    load = sorted(map(int, carrier))
+    start = 0
     out: list[int] = []
-    for x in word:
-        x = int(x)
-        if not load:
-            raise ValueError("cannot run a carrier pass with an empty carrier")
-        i = bisect_right(load, x)
-        if i == len(load):
-            i = 0
+    for x in map(int, word):
+        i = bisect_right(load, x, start)
+        if i == len(load):  # nothing exceeds x: the minimum leaves and x goes last
+            if i == start:
+                raise ValueError("cannot run a carrier pass with an empty carrier")
+            i, start = start, start + 1
+            load.append(x)
         out.append(load[i])
-        del load[i]
-        insort(load, x)
-    return tuple(out), tuple(load)
+        load[i] = x  # in the wrap case index i has just left the carrier
+    return tuple(out), tuple(load[start:])
 
 
 def _rebuild(s: State, placed: Iterable[tuple[int, int]]) -> State:
@@ -312,39 +326,48 @@ def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
     return carrier_pass(label_carrier(s), box_label_sequence(s))
 
 
-def _occupancy_of_tableau(q: Tableau) -> Counter[int]:
-    counts: Counter[int] = Counter()
-    for row in q.rows:
-        counts.update(row)
-    return counts
-
-
 def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     """One step of the recording tableau, computed from the tableau alone.
 
     The tableau entries are the occupied box labels, so the vacant-slot
     carrier is derivable from the tableau content and the capacity
     profile; the carrier then runs along the reading word (rows left to
-    right, bottom to top) and the output word is re-read as a tableau of
-    the same shape.
+    right, bottom to top).  That the result is the Q-symbol of the next
+    state is Fukuda's theorem (arXiv:math/0105226).  The output word is
+    cut into rows of Q's shape, bottom row first, and not bumped again,
+    because the cut is a tableau T, and T is then ``tab(out)``:
+
+    - No wrap.  The window ends N slots past the last occupied one, so the
+      carrier starts with N labels above every letter, and each of the N
+      letters replaces one carrier entry: every letter bumps, as in RSK
+      row insertion into the one row the carrier is.
+    - Rows weakly increase.  Inserting x <= x' bumps x' strictly right of
+      x, so the unloaded y <= y' (row bumping lemma).
+    - Columns strictly increase.  Let a lower row a_1 <= .. <= a_p land at
+      positions s_1 < .. < s_p, unloading b_j > a_j, and the row above it,
+      c_j < a_j, follow.  By induction c_j bumps at t_j <= s_j, since a_j
+      still sits at s_j (t_1 < .. < t_{j-1} <= s_{j-1}); so the entry it
+      unloads is at most a_j < b_j.
+
+    The ``Tableau`` row and column checks guard this; a cut that fails
+    them raises ``InvariantError``.
     """
     if not q.rows:
         return q
-    counts = _occupancy_of_tableau(q)
-    total = sum(counts.values())
     occupied: set[int] = set()
-    for label, m in counts.items():
+    for label, m in Counter(chain.from_iterable(q.rows)).items():
         cap = capacities.capacity(label)
         if m > cap:
             raise ValueError(f"tableau puts {m} balls into box {label} of capacity {cap}")
         end = capacities.slot_end(label)
         occupied.update(range(end - m + 1, end + 1))
-    carrier = window_labels(capacities, min(occupied), max(occupied) + total, occupied)
-    out, _ = carrier_pass(carrier, word_of(q))
-    evolved = tab(out)
-    if shape(evolved) != shape(q):
-        raise InvariantError(f"the carrier changed the tableau shape {shape(q)} to {shape(evolved)}")
-    return evolved
+    carrier = window_labels(capacities, min(occupied), max(occupied) + len(q), occupied)
+    out = iter(carrier_pass(carrier, word_of(q))[0])
+    rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
+    try:
+        return Tableau(tuple(reversed(rows)))
+    except ValueError as err:
+        raise InvariantError(f"the carrier output is not a tableau of shape {shape(q)}: {err}") from None
 
 
 def evolve(s: State, steps: int) -> list[State]:

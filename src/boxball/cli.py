@@ -42,9 +42,12 @@ def _read_input(path: str) -> str:
 def _parse_span(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected LO <= HI, got {text!r}")
+    return lo, hi
 
 
 def _load_state(args: argparse.Namespace):
@@ -64,10 +67,7 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
 def _pick_notation(args: argparse.Namespace, states) -> str:
     if args.notation:
         return args.notation
-    walled = any(
-        s.capacities.explicit or s.capacities.default != 1 for s in states
-    )
-    return "walled" if walled else "compact"
+    return "compact" if all(s.capacities.is_unit for s in states) else "walled"
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -93,6 +93,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_qsymbol(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ValueError("step count must be nonnegative")
     s = _load_state(args)
     q = q_symbol(s)
     lines = []

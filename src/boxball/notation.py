@@ -1,7 +1,10 @@
 """Text notations for box-ball states.
 
 Compact notation (capacity-1 boxes only): one token per box, ``_`` or
-``e`` for an empty box, a digit for the ball color.  When any color
+``e`` for an empty box, a digit for the ball color.  It can only be
+written for a state whose capacity is 1 in every box, shown or not: a
+default capacity other than 1, or any explicit capacity, is refused,
+since compact text re-parses with capacity 1 everywhere.  When any color
 exceeds 9 the tokens are whitespace-separated instead, and a one-box text
 gets a trailing vacancy (``12 _``) so that it still holds a space.  An
 optional leading ``@<label>`` fixes the label of the first shown box
@@ -138,13 +141,17 @@ def render_state(
 
 
 def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str:
-    bad = [j for j in range(lo, hi + 1) if s.capacities.capacity(j) != 1]
-    if bad:
-        raise ValueError(f"compact notation needs capacity 1 everywhere, but box {bad[0]} differs")
-    tokens = []
-    for j in range(lo, hi + 1):
-        colors = s.balls.get(j, ())
-        tokens.append(str(colors[0]) if colors else empty)
+    caps = s.capacities
+    if not caps.is_unit:
+        if caps.default != 1:
+            which = f"the default capacity is {caps.default}"
+        else:
+            which = f"box {min(caps.explicit)} differs"
+        raise ValueError(f"compact notation needs capacity 1 everywhere, but {which}")
+    tokens = [empty] * (hi - lo + 1)
+    for j, (color,) in s.balls.items():
+        if lo <= j <= hi:
+            tokens[j - lo] = str(color)
     wide = s.n > 9
     if wide and len(tokens) == 1:  # one token: a trailing vacancy marks the token mode
         tokens.append(empty)

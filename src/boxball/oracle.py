@@ -68,31 +68,34 @@ def bfs_knuth_equivalent(a: Iterable[int], b: Iterable[int], max_frontier: int =
 
 
 def naive_original_step(s: State) -> State:
-    """Ball-by-ball transcription of the moving rules, with linear scans.
+    """Ball-by-ball transcription of the moving rule, one walk per ball.
 
     For each color in increasing order: while an unmoved ball of that
     color remains, take the leftmost one and walk right slot by slot to
-    the first vacancy.
+    the first vacancy.  An unmoved ball never changes place, so that order
+    is the order of the balls sorted once by (color, slot).  The slots are
+    numbered box by box, from the leftmost occupied box to N boxes past
+    the rightmost, by adding up the box capacities; nothing here goes
+    through the slot-label mapping of ``CapacityProfile``.  The cost is
+    linear in that span plus the length of the walks.
     """
-    board: dict[int, int] = {}
-    for label, colors in s.balls.items():
-        end = s.capacities.slot_end(label)
-        for k, color in enumerate(colors):
-            board[end - len(colors) + 1 + k] = color
-    moved: set[int] = set()
-    for color in range(1, s.n + 1):
-        while True:
-            waiting = [slot for slot, c in board.items() if c == color and slot not in moved]
-            if not waiting:
-                break
-            slot = min(waiting)
-            target = slot + 1
-            while target in board:
-                target += 1
-            del board[slot]
-            board[target] = color
-            moved.add(target)
+    if s.is_empty():
+        return s
+    owner: list[int] = []  # label of the box owning each slot, left to right
+    board: list[int] = []  # color in each slot, 0 when vacant
+    for label in range(min(s.balls), max(s.balls) + s.ball_count + 1):
+        colors = s.balls.get(label, ())
+        cap = s.capacities.capacity(label)
+        owner += [label] * cap
+        board += [0] * (cap - len(colors)) + list(colors)
+    for color, slot in sorted((c, k) for k, c in enumerate(board) if c):
+        board[slot] = 0
+        target = slot + 1
+        while board[target]:
+            target += 1
+        board[target] = color
     boxes: dict[int, list[int]] = {}
-    for slot, color in board.items():
-        boxes.setdefault(s.capacities.label_of_slot(slot), []).append(color)
+    for slot, color in enumerate(board):
+        if color:
+            boxes.setdefault(owner[slot], []).append(color)
     return State(s.n, {label: tuple(colors) for label, colors in boxes.items()}, s.capacities)

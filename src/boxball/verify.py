@@ -73,6 +73,26 @@ def random_state(rng: random.Random) -> State:
     return State(n, {j: tuple(cs) for j, cs in balls.items()}, profile)
 
 
+def large_state(rng: random.Random, balls: int, generalized: bool = False) -> State:
+    """Draw ``balls`` balls into uniformly random slots of 2 * ``balls`` boxes from label 1.
+
+    Standard: capacity 1 and the distinct colors 1..balls.  Generalized:
+    capacities drawn from 1..MAX_CAPACITY and colors from 1..9.
+    """
+    boxes = range(1, 2 * balls + 1)
+    if generalized:
+        n, profile = 9, CapacityProfile({j: rng.randint(1, MAX_CAPACITY) for j in boxes})
+        colors = [rng.randint(1, n) for _ in range(balls)]
+    else:
+        n, profile = balls, UNIT_CAPACITY
+        colors = rng.sample(range(1, n + 1), n)
+    slots = [j for j in boxes for _ in range(profile.capacity(j))]
+    contents: dict[int, list[int]] = defaultdict(list)
+    for j, color in zip(rng.sample(slots, balls), colors):
+        contents[j].append(color)
+    return State(n, contents, profile)
+
+
 def random_biword(rng: random.Random) -> BiWord:
     length = rng.randint(0, BIWORD_MAX_LEN)
     return make_biword(

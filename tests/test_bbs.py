@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right, insort
 
 import pytest
 from hypothesis import example, given
@@ -232,6 +233,30 @@ def test_carrier_pass_is_knuth_rearrangement(carrier, word):
     assert len(final) == len(carrier)
     assert sorted(carrier + word) == sorted(out + final)
     assert tab(tuple(sorted(carrier)) + tuple(word)) == tab(out + final)
+
+
+def reference_carrier_pass(carrier, word):
+    """The carrier as a sorted list that drops the unloaded element and re-inserts the loaded one."""
+    load = sorted(carrier)
+    out = []
+    for x in word:
+        i = bisect_right(load, x)
+        if i == len(load):
+            i = 0
+        out.append(load[i])
+        del load[i]
+        insort(load, x)
+    return tuple(out), tuple(load)
+
+
+@given(
+    st.lists(st.integers(-3, 10), min_size=1, max_size=6),
+    st.lists(st.integers(-3, 10), max_size=60),
+)
+@example([2, 2, 2], [2, 2, 2, 2, 2, 2, 2, 2, 2, 2])
+@example([-3, 10], [10, 10, -3, 10, 10, 10, -3, -3, 5, 10])
+def test_carrier_pass_matches_a_reinserting_reference(carrier, word):
+    assert carrier_pass(carrier, word) == reference_carrier_pass(carrier, word)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,23 @@ def test_bad_span_is_a_usage_error(capsys):
     assert "expected LO:HI" in capsys.readouterr().err
 
 
+def test_reversed_span_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["evolve", "--span=5:2"])
+    assert exit_.value.code == 2
+    assert "expected LO <= HI, got '5:2'" in capsys.readouterr().err
+
+
+def test_qsymbol_rejects_a_negative_step_count(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("1_2\n"))
+    assert main(["qsymbol", "--steps", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step count must be nonnegative\n"
+
+
 def test_verify_passes_with_asserts_stripped():
     """``python -O`` removes ``assert`` statements; every invariant must still be checked."""
     root = Path(__file__).resolve().parents[1]
@@ -207,6 +224,18 @@ def test_compact_output_rejects_a_wider_box(capsys, monkeypatch):
     assert main(["evolve", "--notation", "compact"]) == 2
     err = capsys.readouterr().err
     assert err == "error: compact notation needs capacity 1 everywhere, but box -3 differs\n"
+
+
+def test_compact_output_rejects_a_wider_default(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("@-1|1|2|+2\n"))
+    assert main(["evolve", "--notation", "compact", "--steps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: compact notation needs capacity 1 everywhere, but the default capacity is 2\n"
+    )
 
 
 def test_verify_prints_the_first_failing_case(capsys, monkeypatch):

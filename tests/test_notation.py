@@ -112,6 +112,13 @@ def test_render_requires_unit_capacity_for_compact():
         render_state(s, "compact")
 
 
+def test_compact_output_needs_unit_capacity_off_the_shown_boxes_too():
+    wide_elsewhere = State(1, {0: (1,)}, CapacityProfile({5: 2, 7: 3}))
+    with pytest.raises(ValueError, match="box 5 differs"):
+        render_state(wide_elsewhere, "compact")
+    assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}, 1)), "compact") == "1"
+
+
 def test_render_anchor_rules():
     s = State(2, {2: (1,), 3: (2,)})
     assert render_state(s) == "@2 12"
