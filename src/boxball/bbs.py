@@ -5,12 +5,11 @@ the integers; box j holds at most ``capacity(j)`` balls.  The vacancy
 sentinel e is represented as n+1 and compares greater than every color.
 
 Boxes are expanded into *slots*: with d(0) = 0 and d(j) - d(j-1) equal to
-the capacity of box j, box j owns slots d(j-1)+1 .. d(j).  Inside a box
-the canonical arrangement packs vacancies to the left and sorts ball
-colors ascending, so a state is fully described by the multiset of colors
-per box.  Standard BBS: every capacity 1, all colors distinct.  Advanced:
-every capacity 1, repeated colors allowed.  Generalized: arbitrary
-capacities.
+the capacity of box j, box j owns slots d(j-1)+1 .. d(j).  A box's m
+balls take its last m slots (``_packed_slots``), colors ascending, so a
+state is fully described by the multiset of colors per box.  Standard
+BBS: every capacity 1, all colors distinct.  Advanced: every capacity 1,
+repeated colors allowed.  Generalized: arbitrary capacities.
 
 One time step moves colors 1, 2, ..., n in order, the leftmost unmoved
 ball of the current color first, each ball to the nearest vacant slot
@@ -19,10 +18,10 @@ carrier along the slot word; the ball-moving rule itself lives only in
 ``oracle.naive_original_step``, as an independent reference.  The step
 backwards is the forward step seen in a mirror (``mirror``: box j to -j,
 color c to n+1-c), and the occupied-box labels evolve autonomously by a
-carrier over the vacant-slot labels (``box_label_step``, ``q_evolve``).
-
-Labels and slot indices are plain Python integers; one step shifts labels
-right by at most the ball count N, so magnitudes stay small at desk scale.
+carrier over the vacant-slot labels (``box_label_step``, ``q_evolve``),
+which both build box by box from the ball counts.  Labels and slot indices
+are plain Python integers; one step shifts labels right by at most the
+ball count N, so magnitudes stay small at desk scale.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .rsk import BiWord, dual, rsk
 from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
@@ -160,13 +159,22 @@ class State:
 
 def occupied_slots(s: State) -> list[tuple[int, int]]:
     """Canonical (slot, color) pairs, ascending: balls pack to the right of each box."""
-    out: list[tuple[int, int]] = []
-    for label in sorted(s.balls):
-        colors = s.balls[label]
-        end = s.capacities.slot_end(label)
-        start = end - len(colors) + 1
-        out.extend((start + k, c) for k, c in enumerate(colors))
-    return out
+    labels = sorted(s.balls)
+    slots = _packed_slots([(label, len(s.balls[label])) for label in labels], s.capacities)
+    return list(zip(slots, chain.from_iterable(s.balls[label] for label in labels)))
+
+
+def _packed_slots(counts: Iterable[tuple[int, int]], capacities: CapacityProfile) -> list[int]:
+    """Ascending slots of (label, m) pairs in ascending label order: m balls take a box's last m slots."""
+    capacity, slot_end = capacities.capacity, capacities.slot_end
+    slots: list[int] = []
+    for label, m in counts:
+        cap = capacity(label)
+        if m > cap:
+            raise ValueError(f"box {label} holds {m} balls but has capacity {cap}")
+        end = slot_end(label)
+        slots.extend(range(end - m + 1, end + 1))
+    return slots
 
 
 def window(s: State) -> tuple[int, int]:
@@ -193,13 +201,6 @@ def _slot_letters(pairs: list[tuple[int, int]], lo: int, hi: int, e: int) -> Wor
     return tuple(letters)
 
 
-def window_labels(
-    capacities: CapacityProfile, p: int, q: int, skip: Collection[int] = ()
-) -> tuple[int, ...]:
-    """Label of the box owning each slot in [p, q], leaving out the slots in ``skip``."""
-    return tuple(capacities.label_of_slot(i) for i in range(p, q + 1) if i not in skip)
-
-
 def state_to_biword(s: State) -> BiWord:
     """Columns (box label over ball color) scanned left to right."""
     cols = [(label, color) for label in sorted(s.balls) for color in s.balls[label]]
@@ -208,14 +209,15 @@ def state_to_biword(s: State) -> BiWord:
 
 def biword_to_state(bw: BiWord, capacities: CapacityProfile, n: int) -> State:
     """Inverse of ``state_to_biword`` against a given capacity profile."""
+    return _state_of(n, zip(bw.top, bw.bottom), capacities)
+
+
+def _state_of(n: int, balls: Iterable[tuple[int, int]], capacities: CapacityProfile) -> State:
+    """State with one ball per (label, color) pair."""
     boxes: dict[int, list[int]] = defaultdict(list)
-    for label, color in zip(bw.top, bw.bottom):
+    for label, color in balls:
         boxes[label].append(color)
-    for label, colors in boxes.items():
-        cap = capacities.capacity(label)
-        if len(colors) > cap:
-            raise ValueError(f"capacity exceeded at box {label}: {len(colors)} balls in capacity {cap}")
-    return State(n, {label: tuple(colors) for label, colors in boxes.items()}, capacities)
+    return State(n, boxes, capacities)
 
 
 def p_symbol(s: State) -> Tableau:
@@ -264,14 +266,6 @@ def carrier_pass(carrier: Iterable[int], word: Iterable[int]) -> tuple[Word, Car
     return tuple(out), tuple(load[start:])
 
 
-def _rebuild(s: State, placed: Iterable[tuple[int, int]]) -> State:
-    """State with the same colors/capacities and balls at the given (slot, color)s."""
-    boxes: dict[int, list[int]] = defaultdict(list)
-    for slot, color in placed:
-        boxes[s.capacities.label_of_slot(slot)].append(color)
-    return State(s.n, {label: tuple(colors) for label, colors in boxes.items()}, s.capacities)
-
-
 def carrier_step(s: State) -> State:
     """One time step by sweeping an all-sentinel carrier along the slot word.
 
@@ -287,7 +281,8 @@ def carrier_step(s: State) -> State:
     out, final = carrier_pass((e,) * len(pairs), _slot_letters(pairs, p, q, e))
     if any(x != e for x in final):
         raise InvariantError(f"the carrier ended holding {final}, not only sentinels")
-    return _rebuild(s, ((p + k, x) for k, x in enumerate(out) if x != e))
+    label_of = s.capacities.label_of_slot
+    return _state_of(s.n, ((label_of(p + k), x) for k, x in enumerate(out) if x != e), s.capacities)
 
 
 def mirror(s: State) -> State:
@@ -309,9 +304,31 @@ def reverse_step(s: State) -> State:
 
 
 def label_carrier(s: State) -> Carrier:
-    """Labels of the vacant slots in the window, with slot multiplicity."""
-    p, q = window(s)
-    return window_labels(s.capacities, p, q, {slot for slot, _ in occupied_slots(s)})
+    """Labels of the vacant slots in the window, with slot multiplicity.
+
+    Built box by box, not slot by slot.  The window [p, q] starts at the
+    first ball, and balls pack to the right of their box, so the first
+    occupied box has no vacancy in the window; every later box j has
+    capacity(j) - m(j), with m(j) its ball count.  The last ball ends its
+    box and q lies N slots past it, so the box holding q is empty and adds
+    its slots up to q.
+    """
+    if s.is_empty():
+        raise ValueError("an empty state has no window")
+    return _vacant_labels([(label, len(s.balls[label])) for label in sorted(s.balls)], s.capacities)
+
+
+def _vacant_labels(counts: list[tuple[int, int]], capacities: CapacityProfile) -> Carrier:
+    """Vacant-slot labels over the window of ascending (label, m) pairs; see ``label_carrier``."""
+    (first, m_first), (last, _) = counts[0], counts[-1]
+    end = capacities.slot_end(last)
+    # [p, q] has N slots and N balls more than [p, end], so as many vacancies as [p, end] has slots
+    vacancies = end - capacities.slot_end(first) + m_first
+    labels = range(first + 1, capacities.label_of_slot(end + sum(m for _, m in counts)) + 1)
+    room = list(map(capacities.capacity, labels))
+    for label, m in counts[1:]:
+        room[label - first - 1] -= m
+    return tuple(chain.from_iterable(map(repeat, labels, room)))[:vacancies]  # the box holding q is cut at q
 
 
 def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
@@ -329,13 +346,14 @@ def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
 def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     """One step of the recording tableau, computed from the tableau alone.
 
-    The tableau entries are the occupied box labels, so the vacant-slot
-    carrier is derivable from the tableau content and the capacity
-    profile; the carrier then runs along the reading word (rows left to
-    right, bottom to top).  That the result is the Q-symbol of the next
-    state is Fukuda's theorem (arXiv:math/0105226).  The output word is
-    cut into rows of Q's shape, bottom row first, and not bumped again,
-    because the cut is a tableau T, and T is then ``tab(out)``:
+    The tableau entries are the occupied box labels, each as often as its
+    box holds balls, so the vacant-slot carrier follows from the tableau
+    content and the capacity profile, box by box as in ``label_carrier``;
+    it then runs along the reading word (rows left to right, bottom to
+    top).  That the result is the Q-symbol of the next state is Fukuda's
+    theorem (arXiv:math/0105226).  The output word is cut into rows of Q's
+    shape, bottom row first, and not bumped again, because the cut is a
+    tableau T, and T is then ``tab(out)``:
 
     - No wrap.  The window ends N slots past the last occupied one, so the
       carrier starts with N labels above every letter, and each of the N
@@ -354,15 +372,9 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     """
     if not q.rows:
         return q
-    occupied: set[int] = set()
-    for label, m in Counter(chain.from_iterable(q.rows)).items():
-        cap = capacities.capacity(label)
-        if m > cap:
-            raise ValueError(f"tableau puts {m} balls into box {label} of capacity {cap}")
-        end = capacities.slot_end(label)
-        occupied.update(range(end - m + 1, end + 1))
-    carrier = window_labels(capacities, min(occupied), max(occupied) + len(q), occupied)
-    out = iter(carrier_pass(carrier, word_of(q))[0])
+    counts = list(Counter(sorted(chain.from_iterable(q.rows))).items())
+    _packed_slots(counts, capacities)  # raises ValueError on an overfull box
+    out = iter(carrier_pass(_vacant_labels(counts, capacities), word_of(q))[0])
     rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
     try:
         return Tableau(tuple(reversed(rows)))
@@ -389,22 +401,9 @@ def reduce_generalized_to_advanced(
     with color.  Returns the advanced bi-word together with the slot-to-
     label map over the window, which recovers the generalized bi-word.
     """
-    counts = Counter(bw.top)
-    for label, m in counts.items():
-        cap = capacities.capacity(label)
-        if m > cap:
-            raise ValueError(f"capacity exceeded at box {label}: {m} balls in capacity {cap}")
-    tops: list[int] = []
-    filled = Counter()
-    for label in bw.top:
-        end = capacities.slot_end(label)
-        tops.append(end - counts[label] + 1 + filled[label])
-        filled[label] += 1
-    out = BiWord(tuple(tops), bw.bottom)
-    if not tops:
-        return out, {}
-    p, q = tops[0], tops[-1] + len(tops)
-    return out, dict(zip(range(p, q + 1), window_labels(capacities, p, q)))
+    tops = _packed_slots(Counter(bw.top).items(), capacities)  # bw.top ascends, and so do its counts
+    slots = range(tops[0], tops[-1] + len(tops) + 1) if tops else ()
+    return BiWord(tuple(tops), bw.bottom), {slot: capacities.label_of_slot(slot) for slot in slots}
 
 
 def reduce_advanced_to_standard(bw: BiWord) -> tuple[BiWord, dict[int, int]]:

@@ -9,6 +9,7 @@ inverse.  Entries on both rows may be any integers, of either sign.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -113,16 +114,10 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
 
 def _rightmost_below(row: list[int], x: int) -> int:
     """Index of the rightmost entry strictly smaller than x in a sorted row."""
-    lo, hi = 0, len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if row[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
+    j = bisect_left(row, x) - 1
+    if j < 0:
         raise ValueError("reverse bumping found no smaller entry; tableau pair is inconsistent")
-    return lo - 1
+    return j
 
 
 def matrix_of(bw: BiWord) -> IntegerMatrix:

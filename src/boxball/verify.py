@@ -37,7 +37,6 @@ from .bbs import (
     slot_word,
     state_to_biword,
     window,
-    window_labels,
 )
 from .notation import parse_state, render_state, render_trajectory
 from .oracle import naive_original_step
@@ -144,7 +143,8 @@ def check_box_label(s: State) -> bool:
 
     The final carrier holds the labels of the window's slots minus the
     evolved occupied labels, as multisets: the available boxes for the
-    next step over the same window.
+    next step over the same window.  The window's labels are taken slot
+    by slot here, independently of the box walk in ``label_carrier``.
     """
     if s.is_empty():
         return True
@@ -152,7 +152,7 @@ def check_box_label(s: State) -> bool:
     if labels_next != box_label_sequence(carrier_step(s)):
         return False
     p, q = window(s)
-    leftover = Counter(window_labels(s.capacities, p, q))
+    leftover = Counter(s.capacities.label_of_slot(slot) for slot in range(p, q + 1))
     leftover.subtract(labels_next)
     return Counter(final_carrier) == +leftover
 

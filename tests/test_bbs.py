@@ -10,6 +10,7 @@ from boxball.bbs import (
     CapacityProfile,
     State,
     UNIT_CAPACITY,
+    _vacant_labels,
     biword_to_state,
     box_label_sequence,
     box_label_step,
@@ -28,7 +29,6 @@ from boxball.bbs import (
     slot_word,
     state_to_biword,
     window,
-    window_labels,
 )
 from boxball.oracle import naive_original_step
 from boxball.rsk import dual
@@ -449,11 +449,65 @@ def test_slot_word_packs_vacancies_left():
     assert occupied_slots(SMALL) == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
 
 
-def test_window_labels_reference():
-    assert window_labels(WIDE_CAPS, 1, 9) == (1, 1, 1, 2, 2, 2, 2, 3, 4)
-    assert window_labels(WIDE_CAPS, 1, 9, {2, 4, 5}) == (1, 1, 2, 2, 3, 4)
-    assert window_labels(UNIT_CAPACITY, -2, 1) == (-2, -1, 0, 1)
-    assert window_labels(UNIT_CAPACITY, 3, 2) == ()
+def test_vacant_labels_reference():
+    counts = [(label, len(colors)) for label, colors in sorted(WIDE.balls.items())]
+    assert _vacant_labels(counts, WIDE_CAPS) == (2, 4, 4, 6, 7, 7, 8, 9, 9, 9, 9, 9, 10, 10)
+    # slots -3, -2, 0 in the window [-3, 3]
+    assert _vacant_labels([(-3, 1), (-2, 1), (0, 1)], UNIT_CAPACITY) == (-1, 1, 2, 3)
+    # default capacity 2 and one box of capacity 1: slots 0, 1, 2, 6 in the window [0, 10]
+    assert _vacant_labels([(0, 1), (1, 2), (3, 1)], CapacityProfile({5: 1}, 2)) == (2, 2, 3, 4, 4, 5, 6)
+
+
+def _slot_by_slot(s):
+    """Occupied slots, window slot labels and vacant labels, one slot at a time.
+
+    A reference independent of the box walk: the vacant carrier is the
+    labels of the window's slots minus the occupied slots.
+    """
+    occupied = []
+    for label in sorted(s.balls):
+        end = s.capacities.slot_range(label)[1]
+        occupied.extend(range(end - len(s.balls[label]) + 1, end + 1))
+    p, q = occupied[0], occupied[-1] + len(occupied)
+    labels = {slot: s.capacities.label_of_slot(slot) for slot in range(p, q + 1)}
+    taken = set(occupied)
+    vacant = tuple(label for slot, label in labels.items() if slot not in taken)
+    return tuple(occupied), labels, vacant
+
+
+@st.composite
+def profiled_states(draw):
+    """Nonempty states over profiles with default 1..3 and explicit entries in -20..20."""
+    explicit = draw(st.dictionaries(st.integers(-20, 20), st.integers(1, 5), max_size=8))
+    capacities = CapacityProfile(explicit, draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 4))
+    labels = draw(st.sets(st.integers(-20, 20), min_size=1, max_size=8))
+    sizes = {label: st.lists(st.integers(1, n), min_size=1, max_size=capacities.capacity(label)) for label in labels}
+    return State(n, draw(st.fixed_dictionaries(sizes)), capacities)
+
+
+@given(profiled_states())
+@example(WIDE)
+@example(State(2, {-4: (1, 2), 0: (2,)}, CapacityProfile({-4: 3, 7: 4}, 2)))
+def test_box_walk_matches_the_slot_by_slot_window(s):
+    import boxball.bbs as bbs
+
+    occupied, labels, vacant = _slot_by_slot(s)
+    assert label_carrier(s) == vacant
+    expected = q_symbol(carrier_step(s))
+    carriers = []
+
+    def spy(carrier, word):
+        carriers.append(carrier)
+        return carrier_pass(carrier, word)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bbs, "carrier_pass", spy)
+        assert q_evolve(q_symbol(s), s.capacities) == expected
+    assert carriers == [vacant]
+    advanced, slot_labels = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
+    assert advanced.top == occupied
+    assert slot_labels == labels
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boxball.bbs import CapacityProfile, State, carrier_step
 from boxball.notation import StateParseError, parse_state, render_state, render_trajectory
@@ -161,3 +163,17 @@ def test_render_trajectory_common_span():
     lines = render_trajectory([s, carrier_step(s)])
     assert lines == ["@1 234_15___", "@1 ___23_145"]
     assert render_trajectory([State(2, {}), State(2, {})]) == ["", ""]
+
+
+@given(st.text("0123456789_e|@+- \t\n", max_size=30), st.none() | st.integers(-2, 12))
+@example("@-3 |e 12|3|+2", 12)
+@example("|ee5|e125|4|", None)
+def test_parse_accepts_or_rejects_any_text(text, colors):
+    try:
+        s = parse_state(text, colors)
+    except ValueError:
+        return
+    assert isinstance(s, State)
+    if not s.is_empty():
+        shown = set(s.balls) | set(s.capacities.explicit)
+        assert parse_state(render_state(s, "walled", (min(shown), max(shown))), colors=s.n) == s

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from boxball.rsk import (
     BiWord,
     EMPTY_BIWORD,
+    _rightmost_below,
     dual,
     inverse_rsk,
     make_biword,
@@ -67,12 +68,31 @@ def test_rsk_trivia():
 
 
 def test_rsk_raises_when_bumping_skips_a_column(monkeypatch):
-    import sys
+    import boxball.rsk as module
 
-    # the package re-exports the function rsk under the submodule's name
-    monkeypatch.setattr(sys.modules["boxball.rsk"], "_insert", lambda rows, x: (1, 5))
+    monkeypatch.setattr(module, "_insert", lambda rows, x: (1, 5))
     with pytest.raises(InvariantError, match="column 5"):
         rsk(BiWord((1,), (1,)))
+
+
+def test_package_attribute_rsk_is_the_submodule(monkeypatch):
+    import types
+
+    import boxball
+    import boxball.rsk as module
+
+    assert isinstance(module, types.ModuleType) and boxball.rsk is module
+    patched = lambda rows, x: (1, 1)  # noqa: E731
+    monkeypatch.setattr(boxball.rsk, "_insert", patched)
+    assert module._insert is patched
+
+
+def test_rightmost_below():
+    row = [1, 3, 3, 5]
+    assert [_rightmost_below(row, x) for x in (2, 3, 4, 5, 6)] == [0, 0, 2, 2, 3]
+    for x in (0, 1):
+        with pytest.raises(ValueError, match="no smaller entry"):
+            _rightmost_below(row, x)
 
 
 def test_inverse_rsk_reference():
