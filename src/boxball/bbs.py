@@ -14,12 +14,16 @@ repeated colors allowed.  Generalized: arbitrary capacities.
 One time step moves colors 1, 2, ..., n in order, the leftmost unmoved
 ball of the current color first, each ball to the nearest vacant slot
 strictly to its right.  ``carrier_step`` computes that step by sweeping a
-carrier along the slot word; the ball-moving rule itself lives only in
-``oracle.naive_original_step``, as an independent reference.  The step
-backwards is the forward step seen in a mirror (``mirror``: box j to -j,
-color c to n+1-c), and the occupied-box labels evolve autonomously by a
-carrier over the vacant-slot labels (``box_label_step``, ``q_evolve``),
-which both build box by box from the ball counts.  Labels and slot indices
+carrier of N sentinels along the slot word, box by box: the vacancy letter
+e exceeds everything the carrier holds, so a run of k vacancies is k wraps
+that unload the carrier's k least entries, one slice of its sorted list,
+and a ball never wraps, since the carrier always keeps an e above it.  The
+ball-moving rule itself lives only in ``oracle.naive_original_step``, as an
+independent reference.  The step backwards is the forward step seen in a
+mirror (``mirror``: box j to -j, color c to n+1-c), and the occupied-box
+labels evolve autonomously by a carrier over the vacant-slot labels
+(``box_label_step``, ``q_evolve``), which both build box by box from the
+ball counts.  Labels and slot indices
 are plain Python integers; one step shifts labels right by at most the
 ball count N, so magnitudes stay small at desk scale.
 """
@@ -138,7 +142,7 @@ class State:
                 raise ValueError(f"box {label} holds a color outside 1..{self.n}")
             cap = capacity(label)
             if len(colors) > cap:
-                raise ValueError(f"box {label} holds {len(colors)} balls but has capacity {cap}")
+                raise _overfull(label, len(colors), cap)
             balls[label] = colors
         object.__setattr__(self, "balls", MappingProxyType(balls))
 
@@ -171,31 +175,28 @@ def _packed_slots(counts: Iterable[tuple[int, int]], capacities: CapacityProfile
     for label, m in counts:
         cap = capacity(label)
         if m > cap:
-            raise ValueError(f"box {label} holds {m} balls but has capacity {cap}")
+            raise _overfull(label, m, cap)
         end = slot_end(label)
         slots.extend(range(end - m + 1, end + 1))
     return slots
+
+
+def _overfull(label: int, m: int, cap: int) -> ValueError:
+    return ValueError(f"box {label} holds {m} balls but has capacity {cap}")
 
 
 def window(s: State) -> tuple[int, int]:
     """Slot interval [p, q] containing the occupied slots now and after one step."""
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    return _window_of(occupied_slots(s))
-
-
-def _window_of(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    pairs = occupied_slots(s)
     return pairs[0][0], pairs[-1][0] + len(pairs)
 
 
 def slot_word(s: State, lo: int, hi: int) -> Word:
     """One letter per slot in [lo, hi]: the ball color, or the sentinel n+1."""
-    return _slot_letters(occupied_slots(s), lo, hi, s.sentinel)
-
-
-def _slot_letters(pairs: list[tuple[int, int]], lo: int, hi: int, e: int) -> Word:
-    letters = [e] * (hi - lo + 1)
-    for slot, color in pairs:
+    letters = [s.sentinel] * (hi - lo + 1)
+    for slot, color in occupied_slots(s):
         if lo <= slot <= hi:
             letters[slot - lo] = color
     return tuple(letters)
@@ -269,20 +270,58 @@ def carrier_pass(carrier: Iterable[int], word: Iterable[int]) -> tuple[Word, Car
 def carrier_step(s: State) -> State:
     """One time step by sweeping an all-sentinel carrier along the slot word.
 
-    The carrier holds N copies of e = n+1, one per ball; it returns to all
-    sentinels at the end of the pass.  Equals the ball-moving rule
-    (``oracle.naive_original_step``) on every state.
+    The carrier holds N copies of e = n+1, one per ball, and sweeps the
+    window [p, q] from the first ball to N slots past the last, as
+    ``carrier_pass`` would; it returns to all sentinels at the end.  Equals
+    the ball-moving rule (``oracle.naive_original_step``) on every state.
+
+    The sweep walks the occupied boxes, not the slots, and keeps only the
+    carrier's balls, sorted; its other entries are e.  A vacancy is the
+    letter e, and nothing in the carrier exceeds e, so at each vacancy the
+    carrier unloads its minimum and loads e as its new largest entry: k
+    vacancies in a row are k such wraps, which unload the k least entries
+    in order, one slice of the sorted carrier.  Its balls drop in the run's
+    first slots, and only they need a slot-to-label lookup; once the
+    carrier holds only e, the rest of the run changes nothing.  A ball x
+    never wraps: the carrier holds at most the balls swept before x, fewer
+    than N, so an e exceeds x.  It unloads the least ball above x, which
+    drops at x's slot, in x's own box, or else an e.
     """
     if s.is_empty():
         return s
-    pairs = occupied_slots(s)
-    p, q = _window_of(pairs)
-    e = s.sentinel
-    out, final = carrier_pass((e,) * len(pairs), _slot_letters(pairs, p, q, e))
-    if any(x != e for x in final):
-        raise InvariantError(f"the carrier ended holding {final}, not only sentinels")
-    label_of = s.capacities.label_of_slot
-    return _state_of(s.n, ((label_of(p + k), x) for k, x in enumerate(out) if x != e), s.capacities)
+    dropped, held = _box_sweep(s)
+    if held:
+        raise InvariantError(f"the carrier ended holding {tuple(held)}, not only sentinels")
+    return _state_of(s.n, dropped, s.capacities)
+
+
+def _box_sweep(s: State) -> tuple[list[tuple[int, int]], list[int]]:
+    """(label, color) of each ball the carrier drops over the window, and the balls it ends holding."""
+    count = s.ball_count
+    label_of_slot = s.capacities.label_of_slot
+    labels = sorted(s.balls)
+    boxes = [s.balls[label] for label in labels]
+    ends = list(map(s.capacities.slot_end, labels))
+    # vacant slots after each box: up to the next box's first ball, then the N that end the window
+    gaps = [b - len(balls) - a for a, b, balls in zip(ends, ends[1:], boxes[1:])] + [count]
+    held: list[int] = []  # the carrier's balls are held[start:], ascending
+    start = 0
+    dropped: list[tuple[int, int]] = []
+    for label, balls, end, gap in zip(labels, boxes, ends, gaps):
+        for x in balls:
+            i = bisect_right(held, x, start)
+            if i < len(held):
+                dropped.append((label, held[i]))
+                held[i] = x
+            elif len(held) - start < count:  # an e leaves, and x is now the largest ball
+                held.append(x)
+            else:
+                raise InvariantError(f"ball {x} in box {label} found no sentinel in the carrier")
+        stop = min(start + gap, len(held))
+        if stop > start:
+            dropped.extend((label_of_slot(end + 1 + i - start), held[i]) for i in range(start, stop))
+            start = stop
+    return dropped, held[start:]
 
 
 def mirror(s: State) -> State:
@@ -319,15 +358,23 @@ def label_carrier(s: State) -> Carrier:
 
 
 def _vacant_labels(counts: list[tuple[int, int]], capacities: CapacityProfile) -> Carrier:
-    """Vacant-slot labels over the window of ascending (label, m) pairs; see ``label_carrier``."""
+    """Vacant-slot labels over the window of ascending (label, m) pairs; see ``label_carrier``.
+
+    Raises ``ValueError`` if a box holds more balls than its capacity.
+    """
     (first, m_first), (last, _) = counts[0], counts[-1]
+    if m_first > capacities.capacity(first):  # each later box is checked against its room below
+        raise _overfull(first, m_first, capacities.capacity(first))
     end = capacities.slot_end(last)
     # [p, q] has N slots and N balls more than [p, end], so as many vacancies as [p, end] has slots
     vacancies = end - capacities.slot_end(first) + m_first
     labels = range(first + 1, capacities.label_of_slot(end + sum(m for _, m in counts)) + 1)
     room = list(map(capacities.capacity, labels))
     for label, m in counts[1:]:
-        room[label - first - 1] -= m
+        k = label - first - 1
+        if m > room[k]:
+            raise _overfull(label, m, room[k])
+        room[k] -= m
     return tuple(chain.from_iterable(map(repeat, labels, room)))[:vacancies]  # the box holding q is cut at q
 
 
@@ -372,8 +419,7 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     """
     if not q.rows:
         return q
-    counts = list(Counter(sorted(chain.from_iterable(q.rows))).items())
-    _packed_slots(counts, capacities)  # raises ValueError on an overfull box
+    counts = list(Counter(sorted(chain.from_iterable(q.rows))).items())  # _vacant_labels rejects an overfull box
     out = iter(carrier_pass(_vacant_labels(counts, capacities), word_of(q))[0])
     rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
     try:

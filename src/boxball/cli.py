@@ -13,6 +13,7 @@ golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -141,7 +142,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call.
+
+    Each ``parse_args`` call returns a new namespace and leaves the parser
+    as it was, so one parser serves every command line in a process.
+    """
     parser = argparse.ArgumentParser(prog="boxball", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

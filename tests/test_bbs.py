@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right, insort
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given
@@ -287,9 +288,43 @@ def test_carrier_step_matches_original():
 def test_carrier_step_raises_when_the_carrier_keeps_a_ball(monkeypatch):
     import boxball.bbs as bbs
 
-    monkeypatch.setattr(bbs, "carrier_pass", lambda carrier, word: (tuple(word), (1,) * len(carrier)))
+    sweep = bbs._box_sweep
+    monkeypatch.setattr(bbs, "_box_sweep", lambda s: (sweep(s)[0], [1]))
     with pytest.raises(InvariantError, match="sentinels"):
         carrier_step(SMALL)
+
+
+def test_carrier_step_raises_when_a_ball_finds_no_sentinel(monkeypatch):
+    # one sentinel for SMALL's five balls: the ball in box 2 meets a carrier holding only ball 2
+    monkeypatch.setattr(State, "ball_count", property(lambda s: 1))
+    with pytest.raises(InvariantError, match="box 2 found no sentinel"):
+        carrier_step(SMALL)
+
+
+@st.composite
+def run_states(draw):
+    """Nonempty states whose vacancy runs stress the box walk.
+
+    Boxes follow one another at distances 1..14 from a first label in
+    -12..3, so adjacent boxes (no vacancy between) and gaps longer than the
+    ball count (the carrier drains mid-window) both occur; the default
+    capacity is 1..4, boxes may be partly filled, and explicit capacities
+    fall in the gaps as well as on the boxes.
+    """
+    n = draw(st.integers(1, 4))
+    labels = list(accumulate([draw(st.integers(-12, 3))] + draw(st.lists(st.integers(1, 14), max_size=6))))
+    explicit = draw(st.dictionaries(st.integers(labels[0] - 2, labels[-1] + 12), st.integers(1, 4), max_size=6))
+    capacities = CapacityProfile(explicit, draw(st.integers(1, 4)))
+    sizes = {label: st.lists(st.integers(1, n), min_size=1, max_size=capacities.capacity(label)) for label in labels}
+    return State(n, draw(st.fixed_dictionaries(sizes)), capacities)
+
+
+@given(run_states())
+@example(State(2, {-5: (1,), 9: (2,)}))  # a gap far longer than N
+@example(State(3, {0: (3,), 1: (2,), 2: (1,), 6: (3,)}))  # adjacent boxes, then a drained carrier
+@example(State(2, {-1: (2,), 1: (1, 2)}, CapacityProfile({0: 3, 1: 4}, 2)))  # partly filled, capacity in the gap
+def test_carrier_step_walks_vacancy_runs_like_the_ball_rule(s):
+    assert carrier_step(s) == naive_original_step(s)
 
 
 def test_box_label_step_reference():
@@ -353,8 +388,12 @@ def test_q_evolve_matches_evolved_symbol():
 
 
 def test_q_evolve_rejects_overfull_boxes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box 1 holds 2 balls but has capacity 1"):
         q_evolve(tableau([[1, 1]]), UNIT_CAPACITY)
+    with pytest.raises(ValueError, match="box 2 holds 2 balls but has capacity 1"):
+        q_evolve(tableau([[1, 2, 2]]), UNIT_CAPACITY)
+    with pytest.raises(ValueError, match="box 3 holds 3 balls but has capacity 2"):
+        q_evolve(tableau([[1, 3, 3], [3]]), CapacityProfile({3: 2}, 4))
 
 
 def test_q_evolve_raises_when_the_shape_changes(monkeypatch):

@@ -261,3 +261,40 @@ def test_verify_prints_the_first_failing_case(capsys, monkeypatch):
     assert case > 0 and "@" in text
     rest = lines[:at] + lines[at + 2:-1]
     assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith("reversibility:")]
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """Several ``main`` calls in one process print what fresh processes print."""
+    import io
+
+    from boxball.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    calls = [
+        (["evolve", "--steps", "2", "--span=-1:8", "--colors", "6", "--empty-char", "e"], "234_15\n"),
+        (["qsymbol", "--steps", "1"], "@-2 1_2\n"),
+        (["evolve", "--span", "3"], ""),
+        (["trace", "--mode", "slots"], "1_2\n"),
+        (["evolve"], "1__\n"),
+        (["trace"], "1_2\n"),
+        (["verify", "--seed", "2", "--cases", "3"], ""),
+    ]
+    codes = []
+    for argv, text in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "boxball", *argv], input=text,
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+    assert build_parser() is build_parser()

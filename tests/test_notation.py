@@ -158,6 +158,16 @@ def test_state_render_parse_roundtrip_random():
             assert parse_state(render_state(s, "compact"), colors=s.n) == s
 
 
+@given(st.randoms(use_true_random=False))
+def test_compact_round_trip_on_random_unit_states(rng):
+    # a random_state draw, one ball kept per box so that it fits the unit profile
+    from boxball.verify import random_state
+
+    drawn = random_state(rng)
+    s = State(drawn.n, {label: colors[:1] for label, colors in drawn.balls.items()})
+    assert parse_state(render_state(s, "compact"), colors=s.n) == s
+
+
 def test_render_trajectory_common_span():
     s = parse_state("@1 234_15", colors=5)
     lines = render_trajectory([s, carrier_step(s)])
