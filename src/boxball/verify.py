@@ -4,8 +4,9 @@ The sampler draws states with at most 6 colors, 12 balls, capacity 4 per
 box, and boxes spanning at most 30 labels from a first label in -5..5, so
 labels of either sign reach every suite; with a fixed seed the whole run
 is deterministic, so any failure is reproducible from the seed alone.  A
-failing state suite also prints its first failing case: the case index
-and a ``boxball evolve`` command on the state in anchored walled text.
+failing suite also prints its first failing case: the case index and a
+command that replays it from anchored walled text, ``boxball evolve`` for
+a state and ``boxball rsk`` for a bi-word.
 """
 
 from __future__ import annotations
@@ -206,25 +207,28 @@ def check_reduction_commutes(s: State) -> bool:
     return biword_to_state(generalized_next, s.capacities, s.n) == carrier_step(s)
 
 
-def q_independence_instance(rng: random.Random) -> bool | None:
-    """Two states sharing a recording tableau evolve to the same one.
+def q_independence_draw(rng: random.Random) -> State | None:
+    """A nonempty state whose Q-shape is neither one row nor one column, else None (resample).
 
-    Returns None when the drawn shape admits fewer than two standard
-    insertion tableaux (the caller resamples).
+    Those are exactly the shapes with fewer than two standard tableaux.  By
+    Schensted's theorem the shape is one row exactly when the color word is
+    weakly increasing (the empty word too), and one column exactly when it
+    strictly decreases.
     """
     s = random_state(rng)
-    if s.is_empty():
-        return None
+    word = state_to_biword(s).bottom
+    steps = list(zip(word, word[1:]))
+    return None if all(a <= b for a, b in steps) or all(a > b for a, b in steps) else s
+
+
+def check_q_independence(s: State) -> bool:
+    """States sharing a recording tableau evolve to the same one: its carrier image."""
     q0 = q_symbol(s)
-    candidates = standard_tableaux(shape(q0), 2)
-    if len(candidates) < 2:
-        return None
-    total = len(q0)
-    evolved = []
-    for p0 in candidates:
-        sibling = biword_to_state(inverse_rsk(p0, q0), s.capacities, total)
-        evolved.append(q_symbol(carrier_step(sibling)))
-    return evolved[0] == evolved[1] == q_evolve(q0, s.capacities)
+    expected = q_evolve(q0, s.capacities)
+    return all(
+        q_symbol(carrier_step(biword_to_state(inverse_rsk(p0, q0), s.capacities, len(q0)))) == expected
+        for p0 in standard_tableaux(shape(q0), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ class SuiteResult:
     name: str
     passed: int = 0
     failed: int = 0
-    first_failure: tuple[int, State] | None = None  # (case index, state) of a state suite
+    first_failure: tuple[int, State | BiWord] | None = None  # (case index, case)
 
     @property
     def ok(self) -> bool:
@@ -249,19 +253,25 @@ class SuiteResult:
         """The suite line, then a replay command for its first failing case, if any."""
         if self.first_failure is None:
             return [self.line()]
-        case, s = self.first_failure
-        return [self.line(), f"  first failure, case {case}: {_replay_command(s)}"]
+        case, failing = self.first_failure
+        return [self.line(), f"  first failure, case {case}: {_replay_command(failing)}"]
 
 
-def _replay_command(s: State) -> str:
-    """A ``boxball evolve`` command on the state in anchored walled text.
+def _replay_command(case: State | BiWord) -> str:
+    """A command on the case in anchored walled text: ``evolve`` for a state, ``rsk`` for a bi-word.
 
-    The span covers every ball and explicit capacity, and ``--colors``
-    restores the color count, so the text re-parses to ``s``.
+    A bi-word becomes the state holding its columns, each top letter a box
+    as wide as its count.  The span covers every ball and explicit
+    capacity, and ``--colors`` restores the color count, so the text
+    re-parses to the state (and ``state_to_biword`` of it to the bi-word).
     """
-    labels = [*s.balls, *s.capacities.explicit] or [1]
-    text = render_state(s, "walled", (min(labels), max(labels)))
-    return f"echo '{text}' | boxball evolve --colors {s.n}"
+    command = "evolve"
+    if isinstance(case, BiWord):
+        command = "rsk"
+        case = biword_to_state(case, CapacityProfile(Counter(case.top)), max(case.bottom, default=0))
+    labels = [*case.balls, *case.capacities.explicit] or [1]
+    text = render_state(case, "walled", (min(labels), max(labels)))
+    return f"echo '{text}' | boxball {command} --colors {case.n}"
 
 
 @dataclass
@@ -278,65 +288,52 @@ class VerifyReport:
         return out
 
 
+# perfbench/tracing.py tags the spans of this function, by name, with its
+# first argument: keep both so per-suite times stay attributed.
 def _state_suite(
-    name: str, check: Callable[[State], bool], rng: random.Random, cases: int
+    name: str, draw: Callable[[random.Random], object], check: Callable[[object], bool],
+    rng: random.Random, cases: int,
 ) -> SuiteResult:
+    """Check ``cases`` draws; a draw of None is resampled and not counted."""
     result = SuiteResult(name)
-    for case in range(cases):
-        s = random_state(rng)
-        if check(s):
+    for index in range(cases):
+        while (case := draw(rng)) is None:
+            pass
+        if check(case):
             result.passed += 1
         else:
             result.failed += 1
             if result.first_failure is None:
-                result.first_failure = (case, s)
+                result.first_failure = (index, case)
     return result
 
 
 def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> VerifyReport:
-    """Run every randomized suite (``cases`` instances each) and fixture checks."""
+    """Run every randomized suite (``cases`` instances each), then the fixture checks.
+
+    Every fixture file is read first, so a missing one raises ``OSError``
+    before any suite runs.  The suite table is built per call so that it
+    uses the draws and checks bound in this module at that time.
+    """
+    if cases < 0:
+        raise ValueError("case count must be nonnegative")
+    texts = {name: (Path(fixtures) / name).read_text() for name in FIXTURE_CHECKS} if fixtures else {}
+    suites = [
+        ("p-conservation", random_state, lambda s: check_p_conservation(s, 5)),
+        ("algorithm-equivalence", random_state, check_algorithms_agree),
+        ("reversibility", random_state, check_reversible),
+        ("box-label-evolution", random_state, check_box_label),
+        ("carrier-knuth", random_state, check_carrier_knuth),
+        ("q-evolution", random_state, check_q_evolution),
+        ("reduction-commutation", random_state, check_reduction_commutes),
+        ("rsk-roundtrip", random_biword, check_rsk_roundtrip),
+        ("q-independence", q_independence_draw, check_q_independence),
+    ]
     rng = random.Random(seed)
-    report = VerifyReport()
-    report.suites.append(_state_suite("p-conservation", lambda s: check_p_conservation(s, 5), rng, cases))
-    report.suites.append(_state_suite("algorithm-equivalence", check_algorithms_agree, rng, cases))
-    report.suites.append(_state_suite("reversibility", check_reversible, rng, cases))
-    report.suites.append(_state_suite("box-label-evolution", check_box_label, rng, cases))
-    report.suites.append(_state_suite("carrier-knuth", check_carrier_knuth, rng, cases))
-    report.suites.append(_state_suite("q-evolution", check_q_evolution, rng, cases))
-    report.suites.append(_state_suite("reduction-commutation", check_reduction_commutes, rng, cases))
-
-    suite = SuiteResult("rsk-roundtrip")
-    for _ in range(cases):
-        if check_rsk_roundtrip(random_biword(rng)):
-            suite.passed += 1
-        else:
-            suite.failed += 1
-    report.suites.append(suite)
-
-    suite = SuiteResult("q-independence")
-    produced = 0
-    while produced < cases:
-        verdict = q_independence_instance(rng)
-        if verdict is None:
-            continue
-        produced += 1
-        if verdict:
-            suite.passed += 1
-        else:
-            suite.failed += 1
-    report.suites.append(suite)
-
-    if fixtures is not None:
-        for name, regenerate in FIXTURE_CHECKS.items():
-            path = Path(fixtures) / name
-            if not path.exists():
-                continue
-            suite = SuiteResult(f"fixture:{name}")
-            if regenerate(path.read_text()):
-                suite.passed += 1
-            else:
-                suite.failed += 1
-            report.suites.append(suite)
+    report = VerifyReport([_state_suite(name, draw, check, rng, cases) for name, draw, check in suites])
+    for name, text in texts.items():
+        passed = FIXTURE_CHECKS[name](text)
+        report.suites.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))
     return report
 
 

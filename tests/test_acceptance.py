@@ -30,8 +30,9 @@ from boxball.rsk import dual, inverse_rsk, make_biword, matrix_of, rsk, transpos
 from boxball.tableau import tab, tableau, word_of
 from boxball.verify import (
     check_carrier_knuth,
+    check_q_independence,
     check_reduction_commutes,
-    q_independence_instance,
+    q_independence_draw,
     random_biword,
     random_state,
     trajectory_block,
@@ -181,14 +182,11 @@ def test_criterion_7_algorithm_equivalence():
 
 def test_criterion_8_q_independence():
     rng = random.Random(103)
-    produced = 0
     ok = True
-    while produced < 300:
-        verdict = q_independence_instance(rng)
-        if verdict is None:
-            continue
-        produced += 1
-        ok = ok and verdict
+    for _ in range(300):
+        while (s := q_independence_draw(rng)) is None:
+            pass
+        ok = ok and check_q_independence(s)
     report("8 q-independence 300", ok)
 
 

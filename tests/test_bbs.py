@@ -627,6 +627,16 @@ def test_standard_tableaux_enumerator_counts():
     assert len(standard_tableaux((4, 2), 2)) == 2
 
 
+def test_q_independence_draw_skips_exactly_the_shapes_with_one_standard_tableau():
+    from boxball.verify import q_independence_draw, random_state, standard_tableaux
+
+    drawn, resampled = random.Random(22), random.Random(22)
+    for _ in range(2000):
+        s = random_state(drawn)
+        single = s.is_empty() or len(standard_tableaux(shape(q_symbol(s)), 2)) < 2
+        assert q_independence_draw(resampled) == (None if single else s)
+
+
 def test_q_symbol_ignores_colors():
     # two insertion tableaux sharing one recording tableau: the evolved
     # recording tableaux agree

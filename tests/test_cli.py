@@ -238,29 +238,65 @@ def test_compact_output_rejects_a_wider_default(capsys, monkeypatch):
     )
 
 
-def test_verify_prints_the_first_failing_case(capsys, monkeypatch):
+VERIFY_SUITES = {
+    "p-conservation": "check_p_conservation",
+    "algorithm-equivalence": "check_algorithms_agree",
+    "reversibility": "check_reversible",
+    "box-label-evolution": "check_box_label",
+    "carrier-knuth": "check_carrier_knuth",
+    "q-evolution": "check_q_evolution",
+    "reduction-commutation": "check_reduction_commutes",
+    "rsk-roundtrip": "check_rsk_roundtrip",
+    "q-independence": "check_q_independence",
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_prints_the_first_failing_case(capsys, monkeypatch, suite):
     import boxball.verify as verify
+    from boxball.bbs import State, state_to_biword
 
     _, passing = run_cli(capsys, "verify", "--seed", "1", "--cases", "20")
     assert re.fullmatch(r"(\S+: (\d+)/\2 ok\n){9}all checks passed\n", passing)
 
-    seen = []
+    seen, verdicts = [], []
 
-    def check(s):
-        return not (s.capacities.explicit and s.ball_count > 8)
+    def check(case, *_):  # passes the first two cases, then fails those with more than 5 balls or columns
+        seen.append(case)
+        verdicts.append(len(seen) <= 2 or (case.ball_count if isinstance(case, State) else len(case.top)) <= 5)
+        return verdicts[-1]
 
-    monkeypatch.setattr(verify, "check_reversible", lambda s: seen.append(s) or check(s))
+    monkeypatch.setattr(verify, VERIFY_SUITES[suite], check)
     code, out = run_cli(capsys, "verify", "--seed", "1", "--cases", "20")
     assert code == 1
     lines = out.splitlines()
-    at = lines.index(f"reversibility: {sum(map(check, seen))}/20 FAIL")
-    m = re.fullmatch(r"  first failure, case (\d+): echo '(.+)' \| boxball evolve --colors (\d+)", lines[at + 1])
-    case, text, colors = int(m[1]), m[2], int(m[3])
-    assert parse_state(text, colors) == seen[case]
-    assert not check(seen[case]) and all(map(check, seen[:case]))
-    assert case > 0 and "@" in text
+    at = lines.index(f"{suite}: {sum(verdicts)}/20 FAIL")
+    m = re.fullmatch(r"  first failure, case (\d+): echo '(.+)' \| boxball (\w+) --colors (\d+)", lines[at + 1])
+    case, text, command, colors = int(m[1]), m[2], m[3], int(m[4])
+    assert case == verdicts.index(False)
+    replayed = parse_state(text, colors)
+    if suite == "rsk-roundtrip":
+        assert command == "rsk" and state_to_biword(replayed) == seen[case]
+    else:
+        assert command == "evolve" and replayed == seen[case]
     rest = lines[:at] + lines[at + 2:-1]
-    assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith("reversibility:")]
+    assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith(f"{suite}:")]
+
+
+def test_verify_rejects_a_negative_case_count(capsys):
+    assert main(["verify", "--cases", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: case count must be nonnegative\n"
+
+
+@pytest.mark.parametrize("where", ["nonexistent", "empty"])
+def test_verify_reports_a_missing_fixture(capsys, tmp_path, where):
+    fixtures = tmp_path / "nonexistent" if where == "nonexistent" else tmp_path
+    assert main(["verify", "--cases", "1", "--fixtures", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "sec3_timeline.txt" in captured.err
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
