@@ -18,14 +18,16 @@ carrier of N sentinels along the slot word, box by box: the vacancy letter
 e exceeds everything the carrier holds, so a run of k vacancies is k wraps
 that unload the carrier's k least entries, one slice of its sorted list,
 and a ball never wraps, since the carrier always keeps an e above it.  The
-ball-moving rule itself lives only in ``oracle.naive_original_step``, as an
-independent reference.  The step backwards is the forward step seen in a
-mirror (``mirror``: box j to -j, color c to n+1-c), and the occupied-box
-labels evolve autonomously by a carrier over the vacant-slot labels
-(``box_label_step``, ``q_evolve``), which both build box by box from the
-ball counts.  Labels and slot indices
-are plain Python integers; one step shifts labels right by at most the
-ball count N, so magnitudes stay small at desk scale.
+sweep drops each ball straight into its box's list, boxes in label order,
+so a step builds its next ``State`` once.  The ball-moving rule itself
+lives only in ``oracle.naive_original_step``, as an independent reference.
+The step backwards is the forward step seen in a mirror (``mirror``: box j
+to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
+by a carrier over the vacant-slot labels (``box_label_step``,
+``q_evolve``), which both build box by box from the ball counts and the
+window's capacities, read as one list (``CapacityProfile.capacity_range``).
+Labels and slot indices are plain Python integers; one step shifts labels
+right by at most the ball count N, so magnitudes stay small at desk scale.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ class CapacityProfile:
     def capacity(self, label: int) -> int:
         return self.explicit.get(label, self.default)
 
+    def capacity_range(self, start: int, stop: int) -> list[int]:
+        """Capacities of the boxes start .. stop-1: the default, with the explicit entries written over it."""
+        caps = [self.default] * (stop - start)
+        labels = self._labels
+        for label in labels[bisect_left(labels, start):bisect_left(labels, stop)]:
+            caps[label - start] = self.explicit[label]
+        return caps
+
     def slot_end(self, label: int) -> int:
         """Cumulative boundary d(label); box j owns slots d(j-1)+1 .. d(j)."""
         return label * self.default + self._excess[bisect_right(self._labels, label)]
@@ -129,20 +139,24 @@ class State:
     capacities: CapacityProfile = UNIT_CAPACITY
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("number of colors must be nonnegative")
         balls: dict[int, Word] = {}
         capacity = self.capacities.capacity
         for label, colors in self.balls.items():
             label = int(label)
-            colors = tuple(sorted(map(int, colors)))
-            if not colors:
+            colors = tuple(map(int, colors))
+            if len(colors) > 1:  # one ball fits any box, since every capacity is at least 1
+                colors = tuple(sorted(colors))
+                if colors[0] < 1 or colors[-1] > n:
+                    raise ValueError(f"box {label} holds a color outside 1..{n}")
+                if len(colors) > capacity(label):
+                    raise _overfull(label, len(colors), capacity(label))
+            elif not colors:
                 continue
-            if colors[0] < 1 or colors[-1] > self.n:
-                raise ValueError(f"box {label} holds a color outside 1..{self.n}")
-            cap = capacity(label)
-            if len(colors) > cap:
-                raise _overfull(label, len(colors), cap)
+            elif not 1 <= colors[0] <= n:
+                raise ValueError(f"box {label} holds a color outside 1..{n}")
             balls[label] = colors
         object.__setattr__(self, "balls", MappingProxyType(balls))
 
@@ -151,7 +165,7 @@ class State:
 
     @property
     def ball_count(self) -> int:
-        return sum(len(colors) for colors in self.balls.values())
+        return sum(map(len, self.balls.values()))
 
     @property
     def sentinel(self) -> int:
@@ -210,13 +224,8 @@ def state_to_biword(s: State) -> BiWord:
 
 def biword_to_state(bw: BiWord, capacities: CapacityProfile, n: int) -> State:
     """Inverse of ``state_to_biword`` against a given capacity profile."""
-    return _state_of(n, zip(bw.top, bw.bottom), capacities)
-
-
-def _state_of(n: int, balls: Iterable[tuple[int, int]], capacities: CapacityProfile) -> State:
-    """State with one ball per (label, color) pair."""
     boxes: dict[int, list[int]] = defaultdict(list)
-    for label, color in balls:
+    for label, color in zip(bw.top, bw.bottom):
         boxes[label].append(color)
     return State(n, boxes, capacities)
 
@@ -289,29 +298,34 @@ def carrier_step(s: State) -> State:
     """
     if s.is_empty():
         return s
-    dropped, held = _box_sweep(s)
+    boxes, held = _box_sweep(s)
     if held:
         raise InvariantError(f"the carrier ended holding {tuple(held)}, not only sentinels")
-    return _state_of(s.n, dropped, s.capacities)
+    return State(s.n, boxes, s.capacities)
 
 
-def _box_sweep(s: State) -> tuple[list[tuple[int, int]], list[int]]:
-    """(label, color) of each ball the carrier drops over the window, and the balls it ends holding."""
+def _box_sweep(s: State) -> tuple[dict[int, list[int]], list[int]]:
+    """The colors the carrier drops over the window, per box in label order, and the balls it ends holding."""
     count = s.ball_count
     label_of_slot = s.capacities.label_of_slot
     labels = sorted(s.balls)
-    boxes = [s.balls[label] for label in labels]
+    boxes = list(map(s.balls.__getitem__, labels))
     ends = list(map(s.capacities.slot_end, labels))
     # vacant slots after each box: up to the next box's first ball, then the N that end the window
     gaps = [b - len(balls) - a for a, b, balls in zip(ends, ends[1:], boxes[1:])] + [count]
     held: list[int] = []  # the carrier's balls are held[start:], ascending
     start = 0
-    dropped: list[tuple[int, int]] = []
+    dropped: dict[int, list[int]] = {}  # drops come in slot order, so each box is filled in one run
+    into: list[int] = []
+    last = None  # the box that ``into`` fills
     for label, balls, end, gap in zip(labels, boxes, ends, gaps):
         for x in balls:
             i = bisect_right(held, x, start)
             if i < len(held):
-                dropped.append((label, held[i]))
+                if label != last:
+                    into = dropped[label] = []
+                    last = label
+                into.append(held[i])
                 held[i] = x
             elif len(held) - start < count:  # an e leaves, and x is now the largest ball
                 held.append(x)
@@ -319,7 +333,11 @@ def _box_sweep(s: State) -> tuple[list[tuple[int, int]], list[int]]:
                 raise InvariantError(f"ball {x} in box {label} found no sentinel in the carrier")
         stop = min(start + gap, len(held))
         if stop > start:
-            dropped.extend((label_of_slot(end + 1 + i - start), held[i]) for i in range(start, stop))
+            for into_label, y in zip(map(label_of_slot, range(end + 1, end + 1 + stop - start)), held[start:stop]):
+                if into_label != last:
+                    into = dropped[into_label] = []
+                    last = into_label
+                into.append(y)
             start = stop
     return dropped, held[start:]
 
@@ -363,19 +381,18 @@ def _vacant_labels(counts: list[tuple[int, int]], capacities: CapacityProfile) -
     Raises ``ValueError`` if a box holds more balls than its capacity.
     """
     (first, m_first), (last, _) = counts[0], counts[-1]
-    if m_first > capacities.capacity(first):  # each later box is checked against its room below
-        raise _overfull(first, m_first, capacities.capacity(first))
     end = capacities.slot_end(last)
     # [p, q] has N slots and N balls more than [p, end], so as many vacancies as [p, end] has slots
     vacancies = end - capacities.slot_end(first) + m_first
-    labels = range(first + 1, capacities.label_of_slot(end + sum(m for _, m in counts)) + 1)
-    room = list(map(capacities.capacity, labels))
-    for label, m in counts[1:]:
-        k = label - first - 1
+    stop = capacities.label_of_slot(end + sum(m for _, m in counts)) + 1
+    room = capacities.capacity_range(first, stop)
+    for label, m in counts:
+        k = label - first
         if m > room[k]:
             raise _overfull(label, m, room[k])
         room[k] -= m
-    return tuple(chain.from_iterable(map(repeat, labels, room)))[:vacancies]  # the box holding q is cut at q
+    room[0] = 0  # the window starts at the first ball, past the first box's vacancies
+    return tuple(chain.from_iterable(map(repeat, range(first, stop), room)))[:vacancies]  # q cuts its box
 
 
 def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:

@@ -28,10 +28,12 @@ range, render with a span that covers them.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .bbs import CapacityProfile, State
 
 _PREFIX = re.compile(r"^@(-?\d+)")
+_VACANT = ("_", "e")
 
 
 class StateParseError(ValueError):
@@ -61,13 +63,11 @@ def parse_state(text: str, colors: int | None = None) -> State:
     else:
         profile = CapacityProfile()
         label0 = 0 if first_label is None else first_label
-        tokens = body.split() if any(ch.isspace() for ch in body) else list(body)
-        balls = {}
-        for k, tok in enumerate(tokens):
-            color = _token_color(tok, k)
-            if color is not None:
-                balls[label0 + k] = (color,)
-    n = max((c for colors_ in balls.values() for c in colors_), default=0)
+        tokens = body.split()
+        if len(tokens) == 1:  # the body is stripped, so it holds no whitespace: one token per character
+            tokens = list(body)
+        balls = {label0 + k: (_token_color(tok, k),) for k, tok in enumerate(tokens) if tok not in _VACANT}
+    n = max(chain.from_iterable(balls.values()), default=0)
     if colors is not None:
         if n > colors:
             raise StateParseError(f"color {n} exceeds the declared color count {colors}")
@@ -98,17 +98,10 @@ def _split_walled(body: str) -> tuple[list[list[str]], int]:
 
 
 def _box_colors(tokens: list[str], k: int) -> tuple[int, ...]:
-    out = []
-    for tok in tokens:
-        color = _token_color(tok, k)
-        if color is not None:
-            out.append(color)
-    return tuple(out)
+    return tuple(_token_color(tok, k) for tok in tokens if tok not in _VACANT)
 
 
-def _token_color(tok: str, k: int) -> int | None:
-    if tok in ("_", "e"):
-        return None
+def _token_color(tok: str, k: int) -> int:
     if not tok.isdigit() or int(tok) < 1:
         raise StateParseError(f"bad token {tok!r} in box {k + 1}")
     return int(tok)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .tableau import InvariantError, Tableau, _insert, shape
@@ -25,17 +26,18 @@ class BiWord:
     bottom: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        top = tuple(int(x) for x in self.top)
-        bottom = tuple(int(x) for x in self.bottom)
+        top = tuple(map(int, self.top))
+        bottom = tuple(map(int, self.bottom))
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         if len(top) != len(bottom):
             raise ValueError(f"row lengths differ: {len(top)} vs {len(bottom)}")
-        for k in range(len(top) - 1):
+        cols = list(zip(top, bottom))
+        if not all(map(le, cols, cols[1:])):  # (top, bottom) pairs in lexicographic order
+            k = list(map(le, cols, cols[1:])).index(False)
             if top[k] > top[k + 1]:
                 raise ValueError(f"top row decreases at column {k + 1}")
-            if top[k] == top[k + 1] and bottom[k] > bottom[k + 1]:
-                raise ValueError(f"bottom row decreases within equal top entries at column {k + 1}")
+            raise ValueError(f"bottom row decreases within equal top entries at column {k + 1}")
 
     def __len__(self) -> int:
         return len(self.top)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import le, lt
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -23,7 +24,7 @@ class InvariantError(RuntimeError):
 
 def as_word(letters: Iterable[int]) -> Word:
     """Normalize an iterable of letters to a Word of plain ints."""
-    return tuple(int(x) for x in letters)
+    return tuple(map(int, letters))
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,18 @@ class Tableau:
     rows: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         for r, row in enumerate(rows):
             if not row:
                 raise ValueError(f"row {r + 1} is empty")
-            if any(a > b for a, b in zip(row, row[1:])):
+            if not all(map(le, row, row[1:])):
                 raise ValueError(f"row {r + 1} is not weakly increasing")
             if r > 0:
                 above = rows[r - 1]
                 if len(row) > len(above):
                     raise ValueError(f"row {r + 1} is longer than row {r}")
-                if any(x <= above[c] for c, x in enumerate(row)):
+                if not all(map(lt, above, row)):  # stops at the end of the shorter row
                     raise ValueError(f"column entries not strictly increasing into row {r + 1}")
 
     def __len__(self) -> int:

@@ -4,9 +4,9 @@ The sampler draws states with at most 6 colors, 12 balls, capacity 4 per
 box, and boxes spanning at most 30 labels from a first label in -5..5, so
 labels of either sign reach every suite; with a fixed seed the whole run
 is deterministic, so any failure is reproducible from the seed alone.  A
-failing suite also prints its first failing case: the case index and a
-command that replays it from anchored walled text, ``boxball evolve`` for
-a state and ``boxball rsk`` for a bi-word.
+failing suite also prints its first failing case: the case index, the
+run's seed and a command that replays it from anchored walled text,
+``boxball evolve`` for a state and ``boxball rsk`` for a bi-word.
 """
 
 from __future__ import annotations
@@ -240,6 +240,7 @@ class SuiteResult:
     passed: int = 0
     failed: int = 0
     first_failure: tuple[int, State | BiWord] | None = None  # (case index, case)
+    seed: int | None = None  # of the run that drew the cases
 
     @property
     def ok(self) -> bool:
@@ -254,7 +255,7 @@ class SuiteResult:
         if self.first_failure is None:
             return [self.line()]
         case, failing = self.first_failure
-        return [self.line(), f"  first failure, case {case}: {_replay_command(failing)}"]
+        return [self.line(), f"  first failure, case {case} of seed {self.seed}: {_replay_command(failing)}"]
 
 
 def _replay_command(case: State | BiWord) -> str:
@@ -292,10 +293,13 @@ class VerifyReport:
 # first argument: keep both so per-suite times stay attributed.
 def _state_suite(
     name: str, draw: Callable[[random.Random], object], check: Callable[[object], bool],
-    rng: random.Random, cases: int,
+    rng: random.Random, cases: int, seed: int,
 ) -> SuiteResult:
-    """Check ``cases`` draws; a draw of None is resampled and not counted."""
-    result = SuiteResult(name)
+    """Check ``cases`` draws from ``rng``, which the run seeded with ``seed``.
+
+    A draw of None is resampled and not counted.
+    """
+    result = SuiteResult(name, seed=seed)
     for index in range(cases):
         while (case := draw(rng)) is None:
             pass
@@ -330,7 +334,7 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> Ver
         ("q-independence", q_independence_draw, check_q_independence),
     ]
     rng = random.Random(seed)
-    report = VerifyReport([_state_suite(name, draw, check, rng, cases) for name, draw, check in suites])
+    report = VerifyReport([_state_suite(name, draw, check, rng, cases, seed) for name, draw, check in suites])
     for name, text in texts.items():
         passed = FIXTURE_CHECKS[name](text)
         report.suites.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))

@@ -149,6 +149,17 @@ def test_label_of_slot_inverts_slot_range(explicit, default, slot):
     assert start <= slot <= end
 
 
+@given(
+    st.dictionaries(st.integers(-20, 20), st.integers(1, 4), max_size=6),
+    st.integers(1, 3),
+    st.integers(-25, 25),
+    st.integers(0, 30),
+)
+def test_capacity_range_matches_capacity(explicit, default, start, length):
+    p = CapacityProfile(explicit, default)
+    assert p.capacity_range(start, start + length) == [p.capacity(j) for j in range(start, start + length)]
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         State(2, {0: (3,)})  # color out of range
@@ -299,6 +310,29 @@ def test_carrier_step_raises_when_a_ball_finds_no_sentinel(monkeypatch):
     monkeypatch.setattr(State, "ball_count", property(lambda s: 1))
     with pytest.raises(InvariantError, match="box 2 found no sentinel"):
         carrier_step(SMALL)
+
+
+def test_carrier_step_builds_one_state_per_step(monkeypatch):
+    states = (SMALL, WIDE, mirror(WIDE))
+    expected = list(map(naive_original_step, states))
+    built = []
+    check = State.__post_init__
+    monkeypatch.setattr(State, "__post_init__", lambda s: built.append(s) or check(s))
+    for s, after in zip(states, expected):
+        built.clear()
+        assert carrier_step(s) == after and len(built) == 1
+
+
+def test_q_evolve_makes_no_per_box_capacity_calls(monkeypatch):
+    # 500 balls on the even boxes 0..998, three explicit capacities: a window of about 1000 boxes
+    s = State(500, {2 * k: (500 - k,) for k in range(500)}, CapacityProfile({1: 2, 501: 3, 1003: 4}))
+    q = q_symbol(s)
+    expected = q_symbol(carrier_step(s))
+    calls = []
+    capacity = CapacityProfile.capacity
+    monkeypatch.setattr(CapacityProfile, "capacity", lambda p, label: calls.append(label) or capacity(p, label))
+    assert q_evolve(q, s.capacities) == expected
+    assert len(calls) <= 3
 
 
 @st.composite

@@ -271,9 +271,10 @@ def test_verify_prints_the_first_failing_case(capsys, monkeypatch, suite):
     assert code == 1
     lines = out.splitlines()
     at = lines.index(f"{suite}: {sum(verdicts)}/20 FAIL")
-    m = re.fullmatch(r"  first failure, case (\d+): echo '(.+)' \| boxball (\w+) --colors (\d+)", lines[at + 1])
-    case, text, command, colors = int(m[1]), m[2], m[3], int(m[4])
-    assert case == verdicts.index(False)
+    replay = r"  first failure, case (\d+) of seed (\d+): echo '(.+)' \| boxball (\w+) --colors (\d+)"
+    m = re.fullmatch(replay, lines[at + 1])
+    case, seed, text, command, colors = int(m[1]), int(m[2]), m[3], m[4], int(m[5])
+    assert case == verdicts.index(False) and seed == 1
     replayed = parse_state(text, colors)
     if suite == "rsk-roundtrip":
         assert command == "rsk" and state_to_biword(replayed) == seen[case]
