@@ -22,7 +22,6 @@ from .bbs import (
     evolve,
     label_carrier,
     mirror,
-    occupied_slots,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -31,22 +30,16 @@ from .bbs import (
     reverse_step,
     slot_word,
     state_to_biword,
-    window,
 )
-from .knuth import elementary_moves, knuth_equivalent, strip_largest
 from .notation import StateParseError, parse_state, render_state, render_trajectory
 from .rsk import (
     BiWord,
     EMPTY_BIWORD,
-    IntegerMatrix,
     dual,
     inverse_rsk,
     make_biword,
     matrix_of,
-    parse_biword,
-    parse_matrix,
     render_biword,
-    render_matrix,
     transpose,
 )
 from .tableau import (
@@ -56,13 +49,10 @@ from .tableau import (
     Tableau,
     Word,
     as_word,
-    is_tableau_word,
-    parse_tableau,
+    knuth_equivalent,
     render_tableau,
-    row_insert,
     shape,
     tab,
-    tableau,
     word_of,
 )
 
@@ -72,7 +62,6 @@ __all__ = [
     "Carrier",
     "EMPTY_BIWORD",
     "EMPTY_TABLEAU",
-    "IntegerMatrix",
     "InvariantError",
     "LabelSequence",
     "Shape",
@@ -88,39 +77,28 @@ __all__ = [
     "carrier_pass",
     "carrier_step",
     "dual",
-    "elementary_moves",
     "evolve",
     "inverse_rsk",
-    "is_tableau_word",
     "knuth_equivalent",
     "label_carrier",
     "make_biword",
     "matrix_of",
     "mirror",
-    "occupied_slots",
     "p_symbol",
-    "parse_biword",
-    "parse_matrix",
     "parse_state",
-    "parse_tableau",
     "q_evolve",
     "q_symbol",
     "reduce_advanced_to_standard",
     "reduce_generalized_to_advanced",
     "render_biword",
-    "render_matrix",
     "render_state",
     "render_tableau",
     "render_trajectory",
     "reverse_step",
-    "row_insert",
     "shape",
     "slot_word",
     "state_to_biword",
-    "strip_largest",
     "tab",
-    "tableau",
     "transpose",
-    "window",
     "word_of",
 ]

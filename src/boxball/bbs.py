@@ -7,9 +7,12 @@ sentinel e is represented as n+1 and compares greater than every color.
 Boxes are expanded into *slots*: with d(0) = 0 and d(j) - d(j-1) equal to
 the capacity of box j, box j owns slots d(j-1)+1 .. d(j).  A box's m
 balls take its last m slots (``_packed_slots``), colors ascending, so a
-state is fully described by the multiset of colors per box.  Standard
-BBS: every capacity 1, all colors distinct.  Advanced: every capacity 1,
-repeated colors allowed.  Generalized: arbitrary capacities.
+state is fully described by the multiset of colors per box.  A step
+acts on the *window*, the slots from the first ball to N slots past the
+last, N the ball count; ``slot_word`` is the one helper that reads it,
+returning its first slot and one letter per slot.  Standard BBS: every
+capacity 1, all colors distinct.  Advanced: every capacity 1, repeated
+colors allowed.  Generalized: arbitrary capacities.
 
 One time step moves colors 1, 2, ..., n in order, the leftmost unmoved
 ball of the current color first, each ball to the nearest vacant slot
@@ -175,13 +178,6 @@ class State:
         return not self.balls
 
 
-def occupied_slots(s: State) -> list[tuple[int, int]]:
-    """Canonical (slot, color) pairs, ascending: balls pack to the right of each box."""
-    labels = sorted(s.balls)
-    slots = _packed_slots([(label, len(s.balls[label])) for label in labels], s.capacities)
-    return list(zip(slots, chain.from_iterable(s.balls[label] for label in labels)))
-
-
 def _packed_slots(counts: Iterable[tuple[int, int]], capacities: CapacityProfile) -> list[int]:
     """Ascending slots of (label, m) pairs in ascending label order: m balls take a box's last m slots."""
     capacity, slot_end = capacities.capacity, capacities.slot_end
@@ -199,21 +195,22 @@ def _overfull(label: int, m: int, cap: int) -> ValueError:
     return ValueError(f"box {label} holds {m} balls but has capacity {cap}")
 
 
-def window(s: State) -> tuple[int, int]:
-    """Slot interval [p, q] containing the occupied slots now and after one step."""
+def slot_word(s: State) -> tuple[int, Word]:
+    """The window's first slot p and its letters, one per slot: the ball color, or the sentinel n+1.
+
+    The window [p, p + len - 1] runs from the first ball to N slots past
+    the last, so it holds the occupied slots now and after one step.  Balls
+    pack to the right of their box (``_packed_slots``).
+    """
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    pairs = occupied_slots(s)
-    return pairs[0][0], pairs[-1][0] + len(pairs)
-
-
-def slot_word(s: State, lo: int, hi: int) -> Word:
-    """One letter per slot in [lo, hi]: the ball color, or the sentinel n+1."""
-    letters = [s.sentinel] * (hi - lo + 1)
-    for slot, color in occupied_slots(s):
-        if lo <= slot <= hi:
-            letters[slot - lo] = color
-    return tuple(letters)
+    labels = sorted(s.balls)
+    slots = _packed_slots([(label, len(s.balls[label])) for label in labels], s.capacities)
+    p = slots[0]
+    letters = [s.sentinel] * (slots[-1] - p + 1 + len(slots))
+    for slot, color in zip(slots, chain.from_iterable(map(s.balls.__getitem__, labels))):
+        letters[slot - p] = color
+    return p, tuple(letters)
 
 
 def state_to_biword(s: State) -> BiWord:

@@ -26,7 +26,6 @@ from .bbs import (
     q_symbol,
     slot_word,
     state_to_biword,
-    window,
 )
 from .notation import parse_state, render_trajectory
 from .rsk import dual, render_biword, rsk
@@ -117,9 +116,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         word = box_label_sequence(s)
         show = str
     else:
-        p, q = window(s)
         carrier = (s.sentinel,) * s.ball_count
-        word = slot_word(s, p, q)
+        word = slot_word(s)[1]
         show = lambda x: "e" if x == s.sentinel else str(x)  # noqa: E731
     lines = []
     emitted: list[int] = []

@@ -32,7 +32,7 @@ from itertools import chain
 
 from .bbs import CapacityProfile, State
 
-_PREFIX = re.compile(r"^@(-?\d+)")
+_PREFIX = re.compile(r"^@(-?\d+)", re.ASCII)
 _VACANT = ("_", "e")
 
 
@@ -102,9 +102,9 @@ def _box_colors(tokens: list[str], k: int) -> tuple[int, ...]:
 
 
 def _token_color(tok: str, k: int) -> int:
-    if not tok.isdigit() or int(tok) < 1:
-        raise StateParseError(f"bad token {tok!r} in box {k + 1}")
-    return int(tok)
+    if tok.isascii() and tok.isdigit() and (color := int(tok)) >= 1:  # str.isdigit alone takes '²' and '١'
+        return color
+    raise StateParseError(f"bad token {tok!r} in box {k + 1}")
 
 
 def render_state(

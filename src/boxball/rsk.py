@@ -76,9 +76,7 @@ def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
         if c != len(q_rows[r - 1]) + 1:
             raise InvariantError(f"bumping added column {c} to row {r}, not the end of that row")
         q_rows[r - 1].append(i)
-    p = Tableau(tuple(tuple(row) for row in p_rows))
-    q = Tableau(tuple(tuple(row) for row in q_rows))
-    return p, q
+    return Tableau(p_rows), Tableau(q_rows)
 
 
 def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
@@ -134,29 +132,3 @@ def transpose(m: IntegerMatrix) -> IntegerMatrix:
 def render_biword(bw: BiWord) -> str:
     """Two lines of space-separated integers: top row, then bottom row."""
     return " ".join(str(x) for x in bw.top) + "\n" + " ".join(str(x) for x in bw.bottom)
-
-
-def parse_biword(text: str) -> BiWord:
-    lines = text.splitlines()
-    while len(lines) < 2:
-        lines.append("")
-    top = tuple(int(tok) for tok in lines[0].split())
-    bottom = tuple(int(tok) for tok in lines[1].split())
-    return BiWord(top, bottom)
-
-
-def render_matrix(m: IntegerMatrix) -> str:
-    """One ``i j count`` triple per line, sorted lexicographically."""
-    return "\n".join(f"{i} {j} {c}" for (i, j), c in sorted(m.items()))
-
-
-def parse_matrix(text: str) -> IntegerMatrix:
-    out: IntegerMatrix = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        i, j, c = (int(tok) for tok in line.split())
-        if c < 1:
-            raise ValueError(f"count {c} at ({i}, {j}) must be at least 1")
-        out[(i, j)] = c
-    return out

@@ -2,9 +2,12 @@
 
 A word is a tuple of integers of any sign.  A tableau is stored row by row,
 top row first; entries weakly increase along each row and strictly
-increase down each column.  ``tab`` folds a word into a tableau by
-bumping letters in from the left, ``word_of`` reads the tableau back,
-bottom row first, each row left to right.
+increase down each column.  ``Tableau(rows)`` is the one constructor: it
+takes any iterable of rows of integers and checks the order.  ``tab``
+folds a word into a tableau by bumping letters in from the left (the
+private ``_insert`` bumps one letter), ``word_of`` reads the tableau back,
+bottom row first, each row left to right, and ``knuth_equivalent`` decides
+Knuth equivalence of two words by comparing their ``tab``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ def as_word(letters: Iterable[int]) -> Word:
 
 @dataclass(frozen=True)
 class Tableau:
-    """A column-strict Young tableau; ``rows[0]`` is the top row."""
+    """A column-strict Young tableau; ``rows[0]`` is the top row.
+
+    ``rows`` may be any iterable of iterables of integers; it is stored as
+    a tuple of tuples of ints.
+    """
 
     rows: tuple[Word, ...] = ()
 
@@ -61,11 +68,6 @@ class Tableau:
 EMPTY_TABLEAU = Tableau()
 
 
-def tableau(rows: Iterable[Iterable[int]]) -> Tableau:
-    """Build a Tableau from any iterable of rows (validates invariants)."""
-    return Tableau(tuple(tuple(row) for row in rows))
-
-
 def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
     """Bump x into mutable rows; return the 1-indexed (row, column) of the new box."""
     r = 0
@@ -81,24 +83,17 @@ def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
     return len(rows), 1
 
 
-def row_insert(t: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
-    """Insert one letter by bumping.
-
-    Returns the new tableau and the (row, column) of the single box that
-    appeared, both 1-indexed.  The result has exactly one more box than
-    ``t``.
-    """
-    rows = [list(row) for row in t.rows]
-    pos = _insert(rows, int(x))
-    return Tableau(tuple(tuple(row) for row in rows)), pos
-
-
 def tab(letters: Iterable[int]) -> Tableau:
     """Insertion tableau of a word: fold row insertion over the letters."""
     rows: list[list[int]] = []
     for x in as_word(letters):
         _insert(rows, x)
-    return Tableau(tuple(tuple(row) for row in rows))
+    return Tableau(rows)
+
+
+def knuth_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
+    """Knuth equivalence, decided by insertion: equivalent words share a tableau."""
+    return tab(a) == tab(b)
 
 
 def word_of(t: Tableau) -> Word:
@@ -111,22 +106,6 @@ def shape(t: Tableau) -> Shape:
     return tuple(len(row) for row in t.rows)
 
 
-def is_tableau_word(letters: Iterable[int]) -> bool:
-    """True iff the word is the reading word of its own insertion tableau."""
-    word = as_word(letters)
-    return word_of(tab(word)) == word
-
-
 def render_tableau(t: Tableau) -> str:
     """One row per line, entries separated by single spaces, top row first."""
     return "\n".join(" ".join(str(x) for x in row) for row in t.rows)
-
-
-def parse_tableau(text: str) -> Tableau:
-    """Inverse of ``render_tableau``; a blank line (or EOF) terminates."""
-    rows: list[tuple[int, ...]] = []
-    for line in text.splitlines():
-        if not line.strip():
-            break
-        rows.append(tuple(int(tok) for tok in line.split()))
-    return Tableau(tuple(rows))

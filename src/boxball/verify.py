@@ -37,7 +37,6 @@ from .bbs import (
     reverse_step,
     slot_word,
     state_to_biword,
-    window,
 )
 from .notation import parse_state, render_state, render_trajectory
 from .oracle import naive_original_step
@@ -152,8 +151,8 @@ def check_box_label(s: State) -> bool:
     labels_next, final_carrier = box_label_step(s)
     if labels_next != box_label_sequence(carrier_step(s)):
         return False
-    p, q = window(s)
-    leftover = Counter(s.capacities.label_of_slot(slot) for slot in range(p, q + 1))
+    p, word = slot_word(s)
+    leftover = Counter(map(s.capacities.label_of_slot, range(p, p + len(word))))
     leftover.subtract(labels_next)
     return Counter(final_carrier) == +leftover
 
@@ -169,9 +168,8 @@ def check_carrier_knuth(s: State) -> bool:
     """tab(C + w) == tab(w' + C') for the slot-word and box-label passes."""
     if s.is_empty():
         return True
-    p, q = window(s)
     carrier = (s.sentinel,) * s.ball_count
-    word = slot_word(s, p, q)
+    word = slot_word(s)[1]
     out, final = carrier_pass(carrier, word)
     if tab(carrier + word) != tab(out + final):
         return False
@@ -344,40 +342,22 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> Ver
 # ---------------------------------------------------------------------------
 # Golden fixture regeneration
 
-def trajectory_block(
-    s: State,
-    history: int,
-    future: int,
-    span: tuple[int, int],
-    now_index_prefixes: dict[int, str],
-    pad: str = " " * 9,
-) -> list[str]:
-    """Timeline lines around a reference state, earliest first."""
-    states = [s]
+def trajectory_block(s: State, history: int, future: int, span: tuple[int, int]) -> list[str]:
+    """Timeline lines around a reference state, earliest first, in compact notation.
+
+    The reference state's line is marked ``Time  t :`` and the next one
+    ``Time t+1:``; every other line is indented to match.
+    """
+    past = [s]
     for _ in range(history):
-        states.insert(0, reverse_step(states[0]))
-    for _ in range(future):
-        states.append(carrier_step(states[-1]))
-    lines = render_trajectory(states, "compact", span, anchor=False)
-    return [now_index_prefixes.get(k, pad) + line for k, line in enumerate(lines)]
+        past.append(reverse_step(past[-1]))
+    lines = render_trajectory(past[:0:-1] + evolve(s, future), "compact", span, anchor=False)
+    marks = {history: "Time  t :", history + 1: "Time t+1:"}
+    return [marks.get(k, " " * 9) + line for k, line in enumerate(lines)]
 
 
-def _check_sec3_timeline(text: str) -> bool:
-    s = parse_state("@1 234_15", colors=5)
-    block = trajectory_block(
-        s, history=4, future=5, span=(-18, 31),
-        now_index_prefixes={4: "Time  t :", 5: "Time t+1:"},
-    )
-    return text.splitlines() == block
-
-
-def _check_sec5_advanced_timeline(text: str) -> bool:
-    s = parse_state("@1 ee5e1254ee312e45eeeeeeeeee", colors=5)
-    block = trajectory_block(
-        s, history=3, future=3, span=(-17, 36),
-        now_index_prefixes={3: "Time  t :", 4: "Time t+1:"},
-    )
-    return text.splitlines() == block
+def _check_timeline(text: str, state: str, history: int, future: int, span: tuple[int, int]) -> bool:
+    return text.splitlines() == trajectory_block(parse_state(state), history, future, span)
 
 
 def _check_one_step(text: str, notation: str) -> bool:
@@ -391,11 +371,19 @@ def _check_one_step(text: str, notation: str) -> bool:
     return rendered == lines[1]
 
 
+def _sec6_states(steps: int) -> list[State]:
+    """The Section 6 example and its next ``steps`` states."""
+    return evolve(parse_state(_SEC6_INPUT), steps)
+
+
+def _blocks(text: str) -> list[str]:
+    """The blank-line-separated blocks of a fixture, without their edge newlines."""
+    return [b.strip("\n") for b in text.split("\n\n") if b.strip()]
+
+
 def _check_sec6_table(text: str) -> bool:
     lines = [line for line in text.splitlines() if line.strip()]
-    start = parse_state(lines[0])
-    states = evolve(start, len(lines) - 1)
-    return render_trajectory(states, "walled") == lines
+    return render_trajectory(_sec6_states(len(lines) - 1), "walled") == lines
 
 
 def _check_sec6_input(text: str) -> bool:
@@ -412,28 +400,18 @@ def _check_sec6_input(text: str) -> bool:
 
 
 def _check_sec6_biwords(text: str, mirrored: bool) -> bool:
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    start = parse_state(_SEC6_INPUT)
-    states = evolve(start, len(blocks) - 1)
-    for s, block in zip(states, blocks):
-        bw = state_to_biword(s)
-        if mirrored:
-            bw = dual(bw)
-        if render_biword(bw) != block.strip("\n"):
-            return False
-    return True
+    blocks = _blocks(text)
+    biwords = map(state_to_biword, _sec6_states(len(blocks) - 1))
+    return [render_biword(dual(bw) if mirrored else bw) for bw in biwords] == blocks
 
 
 def _check_sec6_p(text: str) -> bool:
-    start = parse_state(_SEC6_INPUT)
-    return render_tableau(p_symbol(start)) == text.strip("\n")
+    return render_tableau(p_symbol(_sec6_states(0)[0])) == text.strip("\n")
 
 
 def _check_sec6_q(text: str) -> bool:
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    start = parse_state(_SEC6_INPUT)
-    states = evolve(start, len(blocks) - 1)
-    return [render_tableau(q_symbol(s)) for s in states] == [b.strip("\n") for b in blocks]
+    blocks = _blocks(text)
+    return [render_tableau(q_symbol(s)) for s in _sec6_states(len(blocks) - 1)] == blocks
 
 
 _SEC6_INPUT = (
@@ -441,8 +419,10 @@ _SEC6_INPUT = (
 )
 
 FIXTURE_CHECKS: dict[str, Callable[[str], bool]] = {
-    "sec3_timeline.txt": _check_sec3_timeline,
-    "sec5_advanced_timeline.txt": _check_sec5_advanced_timeline,
+    "sec3_timeline.txt": lambda text: _check_timeline(text, "@1 234_15", 4, 5, (-18, 31)),
+    "sec5_advanced_timeline.txt": lambda text: _check_timeline(
+        text, "@1 ee5e1254ee312e45eeeeeeeeee", 3, 3, (-17, 36)
+    ),
     "sec5_fig4_advanced.txt": lambda text: _check_one_step(text, "compact"),
     "sec5_fig5_generalized.txt": lambda text: _check_one_step(text, "walled"),
     "sec6_input.txt": _check_sec6_input,

@@ -20,7 +20,6 @@ from boxball.bbs import (
     evolve,
     label_carrier,
     mirror,
-    occupied_slots,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -29,11 +28,10 @@ from boxball.bbs import (
     reverse_step,
     slot_word,
     state_to_biword,
-    window,
 )
 from boxball.oracle import naive_original_step
 from boxball.rsk import dual
-from boxball.tableau import InvariantError, shape, tab, tableau
+from boxball.tableau import InvariantError, Tableau, knuth_equivalent, shape, tab
 from boxball.verify import (
     check_box_label,
     check_carrier_knuth,
@@ -186,11 +184,11 @@ def test_values_are_hashable_and_read_only():
 # windows and bi-words
 
 def test_window_reference_values():
-    assert window(SMALL) == (1, 11)
-    assert window(WIDE) == (3, 26)
-    assert window(State(1, {0: (1,)})) == (0, 1)
-    with pytest.raises(ValueError):
-        window(State(3, {}))
+    """The window [p, p + len - 1] of each state, from the first ball to N slots past the last."""
+    windows = [(p, len(word)) for p, word in map(slot_word, (SMALL, WIDE, State(1, {0: (1,)})))]
+    assert windows == [(1, 11), (3, 24), (0, 2)]
+    with pytest.raises(ValueError, match="an empty state has no window"):
+        slot_word(State(3, {}))
 
 
 def test_state_biword_reference():
@@ -405,12 +403,12 @@ def test_mirror_reference_and_involution():
 
 
 def test_q_evolve_reference_chain():
-    q1 = tableau([[1, 2, 2, 6, 6], [2, 3], [4, 5], [5]])
+    q1 = Tableau([[1, 2, 2, 6, 6], [2, 3], [4, 5], [5]])
     q2 = q_evolve(q1, WIDE_CAPS)
-    assert q2 == tableau([[2, 3, 4, 7, 8], [4, 4], [5, 7], [6]])
+    assert q2 == Tableau([[2, 3, 4, 7, 8], [4, 4], [5, 7], [6]])
     q3 = q_evolve(q2, WIDE_CAPS)
-    assert q3 == tableau([[4, 4, 6, 9, 9], [5, 5], [6, 9], [9]])
-    assert q_evolve(tableau([]), WIDE_CAPS) == tableau([])
+    assert q3 == Tableau([[4, 4, 6, 9, 9], [5, 5], [6, 9], [9]])
+    assert q_evolve(Tableau([]), WIDE_CAPS) == Tableau([])
 
 
 def test_q_evolve_matches_evolved_symbol():
@@ -423,11 +421,11 @@ def test_q_evolve_matches_evolved_symbol():
 
 def test_q_evolve_rejects_overfull_boxes():
     with pytest.raises(ValueError, match="box 1 holds 2 balls but has capacity 1"):
-        q_evolve(tableau([[1, 1]]), UNIT_CAPACITY)
+        q_evolve(Tableau([[1, 1]]), UNIT_CAPACITY)
     with pytest.raises(ValueError, match="box 2 holds 2 balls but has capacity 1"):
-        q_evolve(tableau([[1, 2, 2]]), UNIT_CAPACITY)
+        q_evolve(Tableau([[1, 2, 2]]), UNIT_CAPACITY)
     with pytest.raises(ValueError, match="box 3 holds 3 balls but has capacity 2"):
-        q_evolve(tableau([[1, 3, 3], [3]]), CapacityProfile({3: 2}, 4))
+        q_evolve(Tableau([[1, 3, 3], [3]]), CapacityProfile({3: 2}, 4))
 
 
 def test_q_evolve_raises_when_the_shape_changes(monkeypatch):
@@ -435,7 +433,7 @@ def test_q_evolve_raises_when_the_shape_changes(monkeypatch):
 
     monkeypatch.setattr(bbs, "carrier_pass", lambda carrier, word: (tuple(sorted(word)), ()))
     with pytest.raises(InvariantError, match="shape"):
-        q_evolve(tableau([[1, 2], [3]]), UNIT_CAPACITY)
+        q_evolve(Tableau([[1, 2], [3]]), UNIT_CAPACITY)
 
 
 def test_carrier_knuth_consistency():
@@ -452,7 +450,7 @@ def test_carrier_pass_respects_knuth_classes():
     for arbitrary carriers the statement is false, e.g. carrier (1,)
     with words 212 and 221.
     """
-    from boxball.knuth import elementary_moves, knuth_equivalent
+    from boxball.oracle import elementary_moves
 
     rng = random.Random(31)
     checked = 0
@@ -485,7 +483,7 @@ def shifted(s, k):
 
 
 def shifted_tableau(t, k):
-    return tableau([[x + k for x in row] for row in t.rows])
+    return Tableau([[x + k for x in row] for row in t.rows])
 
 
 def test_translation_equivariance():
@@ -518,8 +516,11 @@ def test_translation_equivariance():
 # slot expansion details
 
 def test_slot_word_packs_vacancies_left():
-    assert slot_word(WIDE, 3, 16) == (5, 6, 1, 2, 5, 4, 6, 6, 3, 1, 2, 6, 4, 5)
-    assert occupied_slots(SMALL) == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
+    assert slot_word(WIDE) == (3, (5, 6, 1, 2, 5, 4, 6, 6, 3, 1, 2, 6, 4, 5) + (6,) * 10)
+    assert slot_word(SMALL) == (1, (2, 3, 4, 6, 1, 5) + (6,) * 5)
+    # the occupied (slot, color) pairs, ascending, as the advanced bi-word's columns
+    advanced, _ = reduce_generalized_to_advanced(state_to_biword(SMALL), UNIT_CAPACITY)
+    assert advanced.columns() == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
 
 
 def test_vacant_labels_reference():
@@ -567,6 +568,9 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
 
     occupied, labels, vacant = _slot_by_slot(s)
     assert label_carrier(s) == vacant
+    p, word = slot_word(s)
+    assert (p, len(word)) == (occupied[0], len(labels))
+    assert tuple(slot for slot, x in enumerate(word, p) if x != s.sentinel) == occupied
     expected = q_symbol(carrier_step(s))
     carriers = []
 
@@ -598,7 +602,7 @@ def test_evolve_agrees_across_algorithms():
 
 def test_p_symbol_conserved_on_reference():
     states = evolve(WIDE, 4)
-    reference = tableau([[1, 1, 2, 4, 5], [2, 3], [4, 5], [5]])
+    reference = Tableau([[1, 1, 2, 4, 5], [2, 3], [4, 5], [5]])
     assert [p_symbol(s) for s in states] == [reference] * 5
 
 
@@ -676,8 +680,8 @@ def test_q_symbol_ignores_colors():
     # recording tableaux agree
     from boxball.rsk import inverse_rsk
 
-    q0 = tableau([[1, 2], [4]])
-    for p_a, p_b in [(tableau([[1, 2], [3]]), tableau([[1, 3], [2]]))]:
+    q0 = Tableau([[1, 2], [4]])
+    for p_a, p_b in [(Tableau([[1, 2], [3]]), Tableau([[1, 3], [2]]))]:
         s_a = biword_to_state(inverse_rsk(p_a, q0), UNIT_CAPACITY, 3)
         s_b = biword_to_state(inverse_rsk(p_b, q0), UNIT_CAPACITY, 3)
         assert q_symbol(s_a) == q_symbol(s_b) == q0

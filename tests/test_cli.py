@@ -125,6 +125,14 @@ def test_parse_error_is_reported(capsys, tmp_path):
     assert main(["evolve", str(src)]) != 0
 
 
+def test_non_ascii_digit_exits_2_with_its_box(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("1²3\n"))
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr().err == "error: bad token '²' in box 2\n"
+
+
 def test_missing_file_is_reported(capsys):
     assert main(["rsk", "/nonexistent/state.txt"]) == 2
 

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxball.knuth import elementary_moves, knuth_equivalent, strip_largest
-from boxball.tableau import tab
+from boxball.oracle import elementary_moves, strip_largest
+from boxball.tableau import knuth_equivalent, tab
 
 words = st.lists(st.integers(min_value=-3, max_value=4), max_size=8).map(tuple)
 

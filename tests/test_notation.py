@@ -89,6 +89,13 @@ def test_parse_errors():
         parse_state("|1|+x")
     with pytest.raises(StateParseError):
         parse_state("@2_1")  # anchor must be separated in compact form
+    # str.isdigit accepts these; only ASCII digits are colors
+    with pytest.raises(StateParseError, match="bad token '²' in box 2"):
+        parse_state("1²3")
+    with pytest.raises(StateParseError, match="bad token '١' in box 2"):
+        parse_state("1١3")
+    with pytest.raises(StateParseError, match="bad token '@١' in box 1"):
+        parse_state("@١ 12")
 
 
 def test_render_compact_reference():

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxball.bbs import State, carrier_step
-from boxball.knuth import knuth_equivalent
 from boxball.notation import parse_state, render_state
 from boxball.oracle import SearchInconclusive, bfs_knuth_equivalent, naive_original_step
+from boxball.tableau import knuth_equivalent
 from boxball.verify import random_state
 
 words = st.lists(st.integers(min_value=-3, max_value=4), max_size=8).map(tuple)
