@@ -79,10 +79,11 @@ def _split_walled(body: str) -> tuple[list[list[str]], int]:
     default = 1
     plus = body.rfind("+")
     if plus > body.rfind("|"):
-        try:
-            default = int(body[plus + 1:])
-        except ValueError:
-            raise StateParseError(f"bad default capacity {body[plus + 1:]!r}") from None
+        digits = body[plus + 1:]
+        # int() alone takes '２', ' 2' and '1_0'; '-1' passes on to the profile's own message
+        if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+            raise StateParseError(f"bad default capacity {digits!r}")
+        default = int(digits)
         body = body[:plus].rstrip()
     if not body.endswith("|"):
         raise StateParseError("walled notation must end with '|'")

@@ -89,12 +89,10 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
     if shape(p) != shape(q):
         raise ValueError(f"shape mismatch: {shape(p)} vs {shape(q)}")
     p_rows = [list(row) for row in p.rows]
-    order = sorted(
-        ((v, r, c) for r, row in enumerate(q.rows) for c, v in enumerate(row)),
-        key=lambda cell: (-cell[0], -cell[2], -cell[1]),
-    )
-    cols: list[tuple[int, int]] = []
-    for v, r, c in order:
+    order = sorted((v, c, r) for r, row in enumerate(q.rows) for c, v in enumerate(row))
+    top: list[int] = []
+    bottom: list[int] = []
+    for v, c, r in reversed(order):
         if c != len(p_rows[r]) - 1 or (r + 1 < len(p_rows) and len(p_rows[r + 1]) > c):
             raise ValueError(f"recording tableau entry {v} does not sit at a removable corner")
         x = p_rows[r].pop()
@@ -104,12 +102,12 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
             row = p_rows[k]
             j = _rightmost_below(row, x)
             x, row[j] = row[j], x
-        cols.append((v, x))
-    cols.reverse()
-    out = make_biword(cols)
-    if out.columns() != cols:
-        raise ValueError("recording tableau is not consistent with any bi-word")
-    return out
+        top.append(v)
+        bottom.append(x)
+    try:
+        return BiWord(top[::-1], bottom[::-1])
+    except ValueError:
+        raise ValueError("recording tableau is not consistent with any bi-word") from None
 
 
 def _rightmost_below(row: list[int], x: int) -> int:

@@ -7,6 +7,10 @@ is deterministic, so any failure is reproducible from the seed alone.  A
 failing suite also prints its first failing case: the case index, the
 run's seed and a command that replays it from anchored walled text,
 ``boxball evolve`` for a state and ``boxball rsk`` for a bi-word.
+
+The q-independence suite pairs a state's recording tableau Q with the
+row-by-row and the column-by-column standard fillings of Q's shape as P,
+and requires both states to step to the same Q.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -29,6 +34,7 @@ from .bbs import (
     carrier_step,
     evolve,
     label_carrier,
+    mirror,
     p_symbol,
     q_evolve,
     q_symbol,
@@ -99,35 +105,22 @@ def random_biword(rng: random.Random) -> BiWord:
     )
 
 
-def standard_tableaux(outline: tuple[int, ...], limit: int) -> list[Tableau]:
-    """Up to ``limit`` standard tableaux of the given shape (entries 1..N, each once)."""
-    total = sum(outline)
-    found: list[Tableau] = []
-    rows: list[list[int]] = [[] for _ in outline]
-
-    def place(k: int) -> bool:
-        if k > total:
-            found.append(Tableau(tuple(tuple(row) for row in rows)))
-            return len(found) >= limit
-        for r in range(len(outline)):
-            if len(rows[r]) < outline[r] and (r == 0 or len(rows[r - 1]) > len(rows[r])):
-                rows[r].append(k)
-                if place(k + 1):
-                    return True
-                rows[r].pop()
-        return False
-
-    place(1)
-    return found
+def superstandard_tableaux(outline: tuple[int, ...]) -> tuple[Tableau, Tableau]:
+    """The row-by-row and the column-by-column standard fillings of a shape; equal only on one line."""
+    row_starts = list(accumulate(outline, initial=1))
+    heights = [sum(length > c for length in outline) for c in range(max(outline, default=0))]
+    column_starts = list(accumulate(heights, initial=1))
+    return (
+        Tableau(range(row_starts[r], row_starts[r] + length) for r, length in enumerate(outline)),
+        Tableau([column_starts[c] + r for c in range(length)] for r, length in enumerate(outline)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Single-instance checks
 
 def check_p_conservation(s: State, steps: int = 10) -> bool:
-    trajectory = evolve(s, steps)
-    reference = p_symbol(trajectory[0])
-    return all(p_symbol(x) == reference for x in trajectory[1:])
+    return len(set(map(p_symbol, evolve(s, steps)))) == 1
 
 
 def check_algorithms_agree(s: State) -> bool:
@@ -159,9 +152,7 @@ def check_box_label(s: State) -> bool:
 
 def check_q_evolution(s: State) -> bool:
     """The carrier image of the recording tableau is the evolved recording tableau."""
-    if s.is_empty():
-        return True
-    return q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
+    return s.is_empty() or q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
 
 
 def check_carrier_knuth(s: State) -> bool:
@@ -225,7 +216,7 @@ def check_q_independence(s: State) -> bool:
     expected = q_evolve(q0, s.capacities)
     return all(
         q_symbol(carrier_step(biword_to_state(inverse_rsk(p0, q0), s.capacities, len(q0)))) == expected
-        for p0 in standard_tableaux(shape(q0), 2)
+        for p0 in superstandard_tableaux(shape(q0))
     )
 
 
@@ -244,16 +235,13 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def line(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
-        return f"{self.name}: {self.passed}/{self.passed + self.failed} {verdict}"
-
     def lines(self) -> list[str]:
         """The suite line, then a replay command for its first failing case, if any."""
-        if self.first_failure is None:
-            return [self.line()]
-        case, failing = self.first_failure
-        return [self.line(), f"  first failure, case {case} of seed {self.seed}: {_replay_command(failing)}"]
+        out = [f"{self.name}: {self.passed}/{self.passed + self.failed} {'ok' if self.ok else 'FAIL'}"]
+        if self.first_failure is not None:
+            case, failing = self.first_failure
+            out.append(f"  first failure, case {case} of seed {self.seed}: {_replay_command(failing)}")
+        return out
 
 
 def _replay_command(case: State | BiWord) -> str:
@@ -348,9 +336,7 @@ def trajectory_block(s: State, history: int, future: int, span: tuple[int, int])
     The reference state's line is marked ``Time  t :`` and the next one
     ``Time t+1:``; every other line is indented to match.
     """
-    past = [s]
-    for _ in range(history):
-        past.append(reverse_step(past[-1]))
+    past = [mirror(x) for x in evolve(mirror(s), history)]  # stepping the mirror image steps back
     lines = render_trajectory(past[:0:-1] + evolve(s, future), "compact", span, anchor=False)
     marks = {history: "Time  t :", history + 1: "Time t+1:"}
     return [marks.get(k, " " * 9) + line for k, line in enumerate(lines)]
@@ -368,50 +354,29 @@ def _check_one_step(text: str, notation: str) -> bool:
         rendered = render_state(after, "compact", (0, len(lines[0]) - 1), empty="e")
     else:
         rendered = render_state(after, "walled", (1, lines[0].count("|") - 1))
-    return rendered == lines[1]
-
-
-def _sec6_states(steps: int) -> list[State]:
-    """The Section 6 example and its next ``steps`` states."""
-    return evolve(parse_state(_SEC6_INPUT), steps)
-
-
-def _blocks(text: str) -> list[str]:
-    """The blank-line-separated blocks of a fixture, without their edge newlines."""
-    return [b.strip("\n") for b in text.split("\n\n") if b.strip()]
+    return lines[1:] == [rendered]
 
 
 def _check_sec6_table(text: str) -> bool:
     lines = [line for line in text.splitlines() if line.strip()]
-    return render_trajectory(_sec6_states(len(lines) - 1), "walled") == lines
+    return render_trajectory(evolve(parse_state(_SEC6_INPUT), len(lines) - 1), "walled") == lines
 
 
 def _check_sec6_input(text: str) -> bool:
-    """Deep check off the full-capacity input: label and tableau evolution."""
-    start = parse_state(text.strip())
-    states = evolve(start, 4)
-    for before, after in zip(states, states[1:]):
-        if box_label_step(before)[0] != box_label_sequence(after):
-            return False
-        if q_evolve(q_symbol(before), before.capacities) != q_symbol(after):
-            return False
-    reference = p_symbol(states[0])
-    return all(p_symbol(x) == reference for x in states)
+    """Deep check off the full-capacity input: the box-label, Q and P suites over four steps."""
+    transitions = evolve(parse_state(text.strip()), 3)
+    stepped = all(check_box_label(s) and check_q_evolution(s) for s in transitions)
+    return stepped and check_p_conservation(transitions[0], 4)
 
 
-def _check_sec6_biwords(text: str, mirrored: bool) -> bool:
-    blocks = _blocks(text)
-    biwords = map(state_to_biword, _sec6_states(len(blocks) - 1))
-    return [render_biword(dual(bw) if mirrored else bw) for bw in biwords] == blocks
+def _sec6_blocks(text: str, render: Callable[[State], str], count: int | None = None) -> bool:
+    """The fixture's blank-line blocks are ``render`` of the Section 6 states t = 0, 1, ... .
 
-
-def _check_sec6_p(text: str) -> bool:
-    return render_tableau(p_symbol(_sec6_states(0)[0])) == text.strip("\n")
-
-
-def _check_sec6_q(text: str) -> bool:
-    blocks = _blocks(text)
-    return [render_tableau(q_symbol(s)) for s in _sec6_states(len(blocks) - 1)] == blocks
+    ``count``, when given, is how many blocks the fixture must hold.
+    """
+    blocks = [b.strip("\n") for b in text.split("\n\n") if b.strip()]
+    states = evolve(parse_state(_SEC6_INPUT), (count or len(blocks)) - 1)
+    return blocks == [render(s) for s in states]
 
 
 _SEC6_INPUT = (
@@ -427,8 +392,8 @@ FIXTURE_CHECKS: dict[str, Callable[[str], bool]] = {
     "sec5_fig5_generalized.txt": lambda text: _check_one_step(text, "walled"),
     "sec6_input.txt": _check_sec6_input,
     "sec6_table1.txt": _check_sec6_table,
-    "sec6_biwords.txt": lambda text: _check_sec6_biwords(text, mirrored=False),
-    "sec6_dual_biwords.txt": lambda text: _check_sec6_biwords(text, mirrored=True),
-    "sec6_p_symbol.txt": _check_sec6_p,
-    "sec6_q_symbols.txt": _check_sec6_q,
+    "sec6_biwords.txt": lambda text: _sec6_blocks(text, lambda s: render_biword(state_to_biword(s))),
+    "sec6_dual_biwords.txt": lambda text: _sec6_blocks(text, lambda s: render_biword(dual(state_to_biword(s)))),
+    "sec6_p_symbol.txt": lambda text: _sec6_blocks(text, lambda s: render_tableau(p_symbol(s)), count=1),
+    "sec6_q_symbols.txt": lambda text: _sec6_blocks(text, lambda s: render_tableau(q_symbol(s))),
 }

@@ -31,7 +31,7 @@ from boxball.bbs import (
 )
 from boxball.oracle import naive_original_step
 from boxball.rsk import dual
-from boxball.tableau import InvariantError, Tableau, knuth_equivalent, shape, tab
+from boxball.tableau import InvariantError, Tableau, knuth_equivalent, shape, tab, word_of
 from boxball.verify import (
     check_box_label,
     check_carrier_knuth,
@@ -654,24 +654,27 @@ def test_reduction_commutes_with_evolution():
 # ---------------------------------------------------------------------------
 # Q-symbol independence of P
 
-def test_standard_tableaux_enumerator_counts():
-    from boxball.verify import standard_tableaux
+def test_superstandard_tableaux_are_standard_and_differ_off_a_line():
+    from boxball.verify import superstandard_tableaux
 
-    # numbers of standard fillings per shape: 1, 2, 2, 5, 5, 16
-    for outline, count in [((3,), 1), ((2, 1), 2), ((2, 2), 2), ((3, 2), 5), ((2, 2, 1), 5), ((3, 2, 1), 16)]:
-        found = standard_tableaux(outline, 100)
-        assert len(found) == len(set(found)) == count
-        assert all(shape(t) == outline for t in found)
-    assert len(standard_tableaux((4, 2), 2)) == 2
+    assert superstandard_tableaux((3, 2)) == (Tableau([[1, 2, 3], [4, 5]]), Tableau([[1, 3, 5], [2, 4]]))
+    for outline in [(1,), (4,), (1, 1, 1), (2, 1), (2, 2), (3, 2), (2, 2, 1), (3, 2, 1), (4, 4, 2, 1)]:
+        pair = superstandard_tableaux(outline)
+        for t in pair:
+            assert shape(t) == outline
+            assert sorted(word_of(t)) == list(range(1, sum(outline) + 1))
+        assert (pair[0] != pair[1]) == (len(outline) > 1 and outline[0] > 1)
 
 
 def test_q_independence_draw_skips_exactly_the_shapes_with_one_standard_tableau():
-    from boxball.verify import q_independence_draw, random_state, standard_tableaux
+    # those are the one-row and the one-column shapes
+    from boxball.verify import q_independence_draw, random_state
 
     drawn, resampled = random.Random(22), random.Random(22)
     for _ in range(2000):
         s = random_state(drawn)
-        single = s.is_empty() or len(standard_tableaux(shape(q_symbol(s)), 2)) < 2
+        outline = () if s.is_empty() else shape(q_symbol(s))
+        single = len(outline) <= 1 or outline[0] == 1
         assert q_independence_draw(resampled) == (None if single else s)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from boxball.cli import main
 from boxball.notation import parse_state
+from boxball.verify import FIXTURE_CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,15 @@ def test_non_ascii_digit_exits_2_with_its_box(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1²3\n"))
     assert main(["evolve"]) == 2
     assert capsys.readouterr().err == "error: bad token '²' in box 2\n"
+
+
+@pytest.mark.parametrize("default", ["２", " 2", "1_0"])
+def test_default_capacity_takes_ascii_digits_only(capsys, monkeypatch, default):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"|1|e|+{default}\n"))
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr() == ("", f"error: bad default capacity {default!r}\n")
 
 
 def test_missing_file_is_reported(capsys):
@@ -343,3 +353,37 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
         codes.append(code)
     assert codes == [0, 0, 2, 0, 0, 0, 0]
     assert build_parser() is build_parser()
+
+
+def _change_digit(text, which):
+    """The text with its ``which``-th digit (in text order) replaced by another digit."""
+    at = [k for k, ch in enumerate(text) if ch.isdigit()][which]
+    return text[:at] + str(int(text[at]) % 9 + 1) + text[at + 1:]
+
+
+def _drop_second(text):
+    """The text without its second blank-line block, or its second line if it is one block."""
+    blocks = text.split("\n\n")
+    if len(blocks) > 1:
+        return "\n\n".join(blocks[:1] + blocks[2:])
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1] + lines[2:])
+
+
+# sec6_input.txt is left out: its check tests properties of whatever state the file holds
+@pytest.mark.parametrize("name", [name for name in FIXTURE_CHECKS if name != "sec6_input.txt"])
+def test_fixture_checks_refuse_a_corrupted_golden(fixtures, name):
+    check, text = FIXTURE_CHECKS[name], (fixtures / name).read_text()
+    assert check(text) is True
+    assert check(_change_digit(text, 0)) is False
+    assert check(_change_digit(text, -1)) is False
+    if len(text.splitlines()) > 2:  # the one-step figures hold a state and its successor, nothing to drop
+        assert check(_drop_second(text)) is False
+    if name == "sec6_p_symbol.txt":  # P is conserved, so the fixture holds it once
+        assert check(text + "\n" + text) is False
+
+
+@pytest.mark.parametrize("name", ["sec5_fig4_advanced.txt", "sec5_fig5_generalized.txt"])
+def test_one_step_fixture_check_refuses_a_single_line(fixtures, name):
+    for line in (fixtures / name).read_text().splitlines():
+        assert FIXTURE_CHECKS[name](line + "\n") is False
