@@ -124,6 +124,13 @@ def render_state(
     """
     if notation not in ("compact", "walled"):
         raise ValueError(f"unknown notation {notation!r}")
+    caps = s.capacities
+    if notation == "compact" and not caps.is_unit:  # checked before the empty shortcut, so no state skips it
+        if caps.default != 1:
+            which = f"the default capacity is {caps.default}"
+        else:
+            which = f"box {min(caps.explicit)} differs"
+        raise ValueError(f"compact notation needs capacity 1 everywhere, but {which}")
     if span is None:
         if s.is_empty():
             return ""
@@ -135,13 +142,6 @@ def render_state(
 
 
 def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str:
-    caps = s.capacities
-    if not caps.is_unit:
-        if caps.default != 1:
-            which = f"the default capacity is {caps.default}"
-        else:
-            which = f"box {min(caps.explicit)} differs"
-        raise ValueError(f"compact notation needs capacity 1 everywhere, but {which}")
     tokens = [empty] * (hi - lo + 1)
     for j, (color,) in s.balls.items():
         if lo <= j <= hi:
@@ -180,7 +180,6 @@ def render_trajectory(
     """Render states over a common label range (default: the union occupied range)."""
     if span is None:
         occupied = [j for s in states for j in s.balls]
-        if not occupied:
-            return ["" for _ in states]
-        span = (min(occupied), max(occupied))
+        if occupied:  # else each state is empty and render_state gives "" after its checks
+            span = (min(occupied), max(occupied))
     return [render_state(s, notation, span, empty, anchor) for s in states]

@@ -70,15 +70,12 @@ EMPTY_TABLEAU = Tableau()
 
 def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
     """Bump x into mutable rows; return the 1-indexed (row, column) of the new box."""
-    r = 0
-    while r < len(rows):
-        row = rows[r]
+    for r, row in enumerate(rows, 1):
         i = bisect_right(row, x)  # leftmost entry strictly larger than x
         if i == len(row):
             row.append(x)
-            return r + 1, len(row)
+            return r, i + 1
         x, row[i] = row[i], x
-        r += 1
     rows.append([x])
     return len(rows), 1
 

@@ -11,6 +11,10 @@ run's seed and a command that replays it from anchored walled text,
 The q-independence suite pairs a state's recording tableau Q with the
 row-by-row and the column-by-column standard fillings of Q's shape as P,
 and requires both states to step to the same Q.
+
+Each golden fixture file is compared line for line with the text rendered
+from the paper's three inputs (Sections 3 and 6, Figure 4), so a truncated,
+altered or empty file fails; ``sec6_input.txt`` must hold exactly its input.
 """
 
 from __future__ import annotations
@@ -328,7 +332,7 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> Ver
 
 
 # ---------------------------------------------------------------------------
-# Golden fixture regeneration
+# Golden fixtures: each file is the text rendered from one of the paper's three inputs
 
 def trajectory_block(s: State, history: int, future: int, span: tuple[int, int]) -> list[str]:
     """Timeline lines around a reference state, earliest first, in compact notation.
@@ -342,58 +346,44 @@ def trajectory_block(s: State, history: int, future: int, span: tuple[int, int])
     return [marks.get(k, " " * 9) + line for k, line in enumerate(lines)]
 
 
-def _check_timeline(text: str, state: str, history: int, future: int, span: tuple[int, int]) -> bool:
-    return text.splitlines() == trajectory_block(parse_state(state), history, future, span)
+_SEC3_INPUT = "@1 234_15"  # the Section 3 standard timeline
+_FIG4_INPUT = "ee5e1254ee312e45eeeeeeeeee"  # the advanced state of Figure 4
+# the generalized state of Section 6; Figure 5 shows its boxes 1..10
+_SEC6_INPUT = "|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|e|eeeeee|eee|eeeeeeeeeeeeeee|eeeeeee|"
 
 
-def _check_one_step(text: str, notation: str) -> bool:
-    lines = [line for line in text.splitlines() if line.strip()]
-    before = parse_state(lines[0])
-    after = carrier_step(before)
-    if notation == "compact":
-        rendered = render_state(after, "compact", (0, len(lines[0]) - 1), empty="e")
-    else:
-        rendered = render_state(after, "walled", (1, lines[0].count("|") - 1))
-    return lines[1:] == [rendered]
-
-
-def _check_sec6_table(text: str) -> bool:
-    lines = [line for line in text.splitlines() if line.strip()]
-    return render_trajectory(evolve(parse_state(_SEC6_INPUT), len(lines) - 1), "walled") == lines
+def _sec6_blocks(render: Callable[[State], str]) -> list[str]:
+    """Lines of ``render`` of the Section 6 states t = 0..4, a blank line between blocks."""
+    return "\n\n".join(map(render, evolve(parse_state(_SEC6_INPUT), 4))).splitlines()
 
 
 def _check_sec6_input(text: str) -> bool:
-    """Deep check off the full-capacity input: the box-label, Q and P suites over four steps."""
-    transitions = evolve(parse_state(text.strip()), 3)
+    """The file holds the Section 6 input; the box-label, Q and P suites pass on it over four steps."""
+    if text.splitlines() != [_SEC6_INPUT]:
+        return False
+    transitions = evolve(parse_state(_SEC6_INPUT), 3)
     stepped = all(check_box_label(s) and check_q_evolution(s) for s in transitions)
     return stepped and check_p_conservation(transitions[0], 4)
 
 
-def _sec6_blocks(text: str, render: Callable[[State], str], count: int | None = None) -> bool:
-    """The fixture's blank-line blocks are ``render`` of the Section 6 states t = 0, 1, ... .
+def _golden(render: Callable[[], list[str]]) -> Callable[[str], bool]:
+    """A fixture check: the file's lines are the lines ``render`` returns."""
+    return lambda text: text.splitlines() == render()
 
-    ``count``, when given, is how many blocks the fixture must hold.
-    """
-    blocks = [b.strip("\n") for b in text.split("\n\n") if b.strip()]
-    states = evolve(parse_state(_SEC6_INPUT), (count or len(blocks)) - 1)
-    return blocks == [render(s) for s in states]
-
-
-_SEC6_INPUT = (
-    "|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|e|eeeeee|eee|eeeeeeeeeeeeeee|eeeeeee|"
-)
 
 FIXTURE_CHECKS: dict[str, Callable[[str], bool]] = {
-    "sec3_timeline.txt": lambda text: _check_timeline(text, "@1 234_15", 4, 5, (-18, 31)),
-    "sec5_advanced_timeline.txt": lambda text: _check_timeline(
-        text, "@1 ee5e1254ee312e45eeeeeeeeee", 3, 3, (-17, 36)
+    "sec3_timeline.txt": _golden(lambda: trajectory_block(parse_state(_SEC3_INPUT), 4, 5, (-18, 31))),
+    "sec5_advanced_timeline.txt": _golden(lambda: trajectory_block(parse_state(_FIG4_INPUT), 3, 3, (-18, 35))),
+    "sec5_fig4_advanced.txt": _golden(
+        lambda: render_trajectory(evolve(parse_state(_FIG4_INPUT), 1), "compact", (0, 25), empty="e")
     ),
-    "sec5_fig4_advanced.txt": lambda text: _check_one_step(text, "compact"),
-    "sec5_fig5_generalized.txt": lambda text: _check_one_step(text, "walled"),
+    "sec5_fig5_generalized.txt": _golden(
+        lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 1), "walled", (1, 10))
+    ),
     "sec6_input.txt": _check_sec6_input,
-    "sec6_table1.txt": _check_sec6_table,
-    "sec6_biwords.txt": lambda text: _sec6_blocks(text, lambda s: render_biword(state_to_biword(s))),
-    "sec6_dual_biwords.txt": lambda text: _sec6_blocks(text, lambda s: render_biword(dual(state_to_biword(s)))),
-    "sec6_p_symbol.txt": lambda text: _sec6_blocks(text, lambda s: render_tableau(p_symbol(s)), count=1),
-    "sec6_q_symbols.txt": lambda text: _sec6_blocks(text, lambda s: render_tableau(q_symbol(s))),
+    "sec6_table1.txt": _golden(lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 4), "walled")),
+    "sec6_biwords.txt": _golden(lambda: _sec6_blocks(lambda s: render_biword(state_to_biword(s)))),
+    "sec6_dual_biwords.txt": _golden(lambda: _sec6_blocks(lambda s: render_biword(dual(state_to_biword(s))))),
+    "sec6_p_symbol.txt": _golden(lambda: render_tableau(p_symbol(parse_state(_SEC6_INPUT))).splitlines()),
+    "sec6_q_symbols.txt": _golden(lambda: _sec6_blocks(lambda s: render_tableau(q_symbol(s)))),
 }

@@ -256,6 +256,20 @@ def test_compact_output_rejects_a_wider_default(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("span", [[], ["--span", "0:3"]])
+def test_compact_output_rejects_an_empty_wider_state(capsys, monkeypatch, span):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("|ee|\n"))
+    assert main(["evolve", "--notation", "compact", *span]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compact notation needs capacity 1 everywhere, but box 1 differs\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("__\n"))
+    assert main(["evolve", "--notation", "compact", "--steps", "1"]) == 0
+    assert capsys.readouterr().out == "\n\n"
+
+
 VERIFY_SUITES = {
     "p-conservation": "check_p_conservation",
     "algorithm-equivalence": "check_algorithms_agree",
@@ -370,8 +384,7 @@ def _drop_second(text):
     return "".join(lines[:1] + lines[2:])
 
 
-# sec6_input.txt is left out: its check tests properties of whatever state the file holds
-@pytest.mark.parametrize("name", [name for name in FIXTURE_CHECKS if name != "sec6_input.txt"])
+@pytest.mark.parametrize("name", list(FIXTURE_CHECKS))
 def test_fixture_checks_refuse_a_corrupted_golden(fixtures, name):
     check, text = FIXTURE_CHECKS[name], (fixtures / name).read_text()
     assert check(text) is True
@@ -381,6 +394,30 @@ def test_fixture_checks_refuse_a_corrupted_golden(fixtures, name):
         assert check(_drop_second(text)) is False
     if name == "sec6_p_symbol.txt":  # P is conserved, so the fixture holds it once
         assert check(text + "\n" + text) is False
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_CHECKS))
+def test_fixture_checks_refuse_a_truncated_golden(fixtures, name):
+    """Empty, first line, first blank-line block, all but the last line: each fails unless it is the whole file."""
+    text = (fixtures / name).read_text()
+    lines = text.splitlines(keepends=True)
+    cuts = ["", lines[0], text.partition("\n\n")[0], "".join(lines[:-1])]
+    cuts = [cut for cut in cuts if cut.splitlines() != text.splitlines()]
+    assert cuts
+    for cut in cuts:
+        assert FIXTURE_CHECKS[name](cut) is False, repr(cut)
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_CHECKS))
+def test_verify_fails_an_emptied_fixture(capsys, tmp_path, fixtures, name):
+    for other in FIXTURE_CHECKS:
+        (tmp_path / other).write_text("" if other == name else (fixtures / other).read_text())
+    assert main(["verify", "--cases", "1", "--fixtures", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fixture_lines = [line for line in captured.out.splitlines() if line.startswith("fixture:")]
+    expected = {other: "1/1 ok" for other in FIXTURE_CHECKS} | {name: "0/1 FAIL"}
+    assert fixture_lines == [f"fixture:{other}: {result}" for other, result in expected.items()]
 
 
 @pytest.mark.parametrize("name", ["sec5_fig4_advanced.txt", "sec5_fig5_generalized.txt"])

@@ -182,6 +182,19 @@ def test_render_trajectory_common_span():
     assert render_trajectory([State(2, {}), State(2, {})]) == ["", ""]
 
 
+def test_an_empty_state_is_checked_before_it_renders_as_nothing():
+    wide = parse_state("|ee|")
+    assert wide.is_empty()
+    for render in (lambda: render_state(wide, "compact"), lambda: render_trajectory([wide], "compact")):
+        with pytest.raises(ValueError, match="box 1 differs"):
+            render()
+    empty = State(1, {})
+    for render in (lambda: render_state(empty, "bogus"), lambda: render_trajectory([empty], "bogus")):
+        with pytest.raises(ValueError, match="unknown notation 'bogus'"):
+            render()
+    assert render_trajectory([wide], "walled") == [""]
+
+
 @given(st.text("0123456789_e|@+- \t\n", max_size=30), st.none() | st.integers(-2, 12))
 @example("@-3 |e 12|3|+2", 12)
 @example("|ee5|e125|4|", None)
