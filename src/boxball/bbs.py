@@ -21,9 +21,13 @@ carrier of N sentinels along the slot word, box by box: the vacancy letter
 e exceeds everything the carrier holds, so a run of k vacancies is k wraps
 that unload the carrier's k least entries, one slice of its sorted list,
 and a ball never wraps, since the carrier always keeps an e above it.  The
-sweep drops each ball straight into its box's list, boxes in label order,
-so a step builds its next ``State`` once.  The ball-moving rule itself
-lives only in ``oracle.naive_original_step``, as an independent reference.
+sweep reads the occupied boxes' slot ends in one pass
+(``CapacityProfile.slot_ends``) and drops each ball straight into its
+box, boxes in label order, so a step builds its next ``State`` once; a
+one-ball box is built as a 1-tuple, the normal form that ``State`` stores
+as it comes, with no conversion or check beyond its color range.  The ball-moving rule
+itself lives only in ``oracle.naive_original_step``, as an independent
+reference.
 The step backwards is the forward step seen in a mirror (``mirror``: box j
 to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
 by a carrier over the vacant-slot labels (``box_label_step``,
@@ -39,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -58,10 +63,12 @@ class CapacityProfile:
     prefix sums of their excess capacity over the default.  Between two
     explicit labels every box has the default capacity, so ``slot_end``
     is one ``bisect_right`` plus a prefix sum and ``label_of_slot`` one
-    ``bisect_left`` plus a ceiling division.  With no explicit entries the
-    table is empty and both reduce to the closed forms ``label * default``
-    and ``ceil(slot / default)``.  The table is derived from
-    ``explicit`` and ``default``, and ``==``, ``hash`` and ``repr`` ignore it.
+    ``bisect_left`` plus a ceiling division; ``slot_ends`` reads a whole
+    list of labels that way in one C-level ``map`` chain.  With no explicit
+    entries the table is empty and the two lookups reduce to the closed
+    forms ``label * default`` and ``ceil(slot / default)``.  The table is
+    derived from ``explicit`` and ``default``, and ``==``, ``hash`` and
+    ``repr`` ignore it.
     """
 
     explicit: Mapping[int, int] = field(default_factory=dict)
@@ -118,6 +125,11 @@ class CapacityProfile:
         """Cumulative boundary d(label); box j owns slots d(j-1)+1 .. d(j)."""
         return label * self.default + self._excess[bisect_right(self._labels, label)]
 
+    def slot_ends(self, labels: list[int]) -> list[int]:
+        """``slot_end`` of each label, in one pass over the list."""
+        excess = map(self._excess.__getitem__, map(bisect_right, repeat(self._labels), labels))
+        return list(map(add, map(mul, labels, repeat(self.default)), excess))
+
     def slot_range(self, label: int) -> tuple[int, int]:
         """Inclusive slot interval owned by one box."""
         return self.slot_end(label - 1) + 1, self.slot_end(label)
@@ -148,6 +160,13 @@ class State:
         balls: dict[int, Word] = {}
         capacity = self.capacities.capacity
         for label, colors in self.balls.items():
+            # a box in normal form, an int label and a 1-tuple of an int color in 1..n, is stored as
+            # it is; one ball fits every box.  Exact types only: a bool or an int subclass is converted
+            if type(colors) is tuple and len(colors) == 1 and type(label) is int:
+                c = colors[0]
+                if type(c) is int and 0 < c <= n:
+                    balls[label] = colors
+                    continue
             label = int(label)
             colors = tuple(map(int, colors))
             if len(colors) > 1:  # one ball fits any box, since every capacity is at least 1
@@ -301,28 +320,30 @@ def carrier_step(s: State) -> State:
     return State(s.n, boxes, s.capacities)
 
 
-def _box_sweep(s: State) -> tuple[dict[int, list[int]], list[int]]:
+def _box_sweep(s: State) -> tuple[dict[int, Word | list[int]], list[int]]:
     """The colors the carrier drops over the window, per box in label order, and the balls it ends holding."""
     count = s.ball_count
     label_of_slot = s.capacities.label_of_slot
     labels = sorted(s.balls)
     boxes = list(map(s.balls.__getitem__, labels))
-    ends = list(map(s.capacities.slot_end, labels))
+    ends = s.capacities.slot_ends(labels)
     # vacant slots after each box: up to the next box's first ball, then the N that end the window
     gaps = [b - len(balls) - a for a, b, balls in zip(ends, ends[1:], boxes[1:])] + [count]
     held: list[int] = []  # the carrier's balls are held[start:], ascending
     start = 0
-    dropped: dict[int, list[int]] = {}  # drops come in slot order, so each box is filled in one run
-    into: list[int] = []
-    last = None  # the box that ``into`` fills
+    # drops come in slot order, so each box is filled in one run; a one-ball box is a 1-tuple, the
+    # normal form that ``State`` stores as it is
+    dropped: dict[int, Word | list[int]] = {}
+    last = None  # the box that the latest drop filled
     for label, balls, end, gap in zip(labels, boxes, ends, gaps):
         for x in balls:
             i = bisect_right(held, x, start)
             if i < len(held):
                 if label != last:
-                    into = dropped[label] = []
+                    dropped[label] = (held[i],)
                     last = label
-                into.append(held[i])
+                else:
+                    _drop_again(dropped, label, held[i])
                 held[i] = x
             elif len(held) - start < count:  # an e leaves, and x is now the largest ball
                 held.append(x)
@@ -332,11 +353,20 @@ def _box_sweep(s: State) -> tuple[dict[int, list[int]], list[int]]:
         if stop > start:
             for into_label, y in zip(map(label_of_slot, range(end + 1, end + 1 + stop - start)), held[start:stop]):
                 if into_label != last:
-                    into = dropped[into_label] = []
+                    dropped[into_label] = (y,)
                     last = into_label
-                into.append(y)
+                else:
+                    _drop_again(dropped, into_label, y)
             start = stop
     return dropped, held[start:]
+
+
+def _drop_again(dropped: dict[int, Word | list[int]], label: int, y: int) -> None:
+    """A further drop into a box: the box turns into a list, so that filling it with m balls costs O(m), not O(m^2)."""
+    box = dropped[label]
+    if type(box) is tuple:
+        box = dropped[label] = list(box)
+    box.append(y)
 
 
 def mirror(s: State) -> State:

@@ -34,6 +34,7 @@ from .bbs import CapacityProfile, State
 
 _PREFIX = re.compile(r"^@(-?\d+)", re.ASCII)
 _VACANT = ("_", "e")
+_DIGIT_BOXES = {str(c): (c,) for c in range(1, 10)}  # a compact token "1".."9" as its box
 
 
 class StateParseError(ValueError):
@@ -66,7 +67,10 @@ def parse_state(text: str, colors: int | None = None) -> State:
         tokens = body.split()
         if len(tokens) == 1:  # the body is stripped, so it holds no whitespace: one token per character
             tokens = list(body)
-        balls = {label0 + k: (_token_color(tok, k),) for k, tok in enumerate(tokens) if tok not in _VACANT}
+        digit = _DIGIT_BOXES.get
+        balls = {
+            label0 + k: digit(tok) or (_token_color(tok, k),) for k, tok in enumerate(tokens) if tok not in _VACANT
+        }
     n = max(chain.from_iterable(balls.values()), default=0)
     if colors is not None:
         if n > colors:

@@ -1,4 +1,5 @@
 import random
+import time
 from bisect import bisect_right, insort
 from itertools import accumulate
 
@@ -156,6 +157,16 @@ def test_label_of_slot_inverts_slot_range(explicit, default, slot):
 def test_capacity_range_matches_capacity(explicit, default, start, length):
     p = CapacityProfile(explicit, default)
     assert p.capacity_range(start, start + length) == [p.capacity(j) for j in range(start, start + length)]
+
+
+@given(
+    st.dictionaries(st.integers(-20, 20), st.integers(1, 4), max_size=6),
+    st.integers(1, 3),
+    st.lists(st.integers(-30, 30), max_size=12),
+)
+def test_slot_ends_matches_slot_end(explicit, default, labels):
+    p = CapacityProfile(explicit, default)
+    assert p.slot_ends(labels) == [p.slot_end(j) for j in labels]
 
 
 def test_state_validation():
@@ -319,6 +330,41 @@ def test_carrier_step_builds_one_state_per_step(monkeypatch):
     for s, after in zip(states, expected):
         built.clear()
         assert carrier_step(s) == after and len(built) == 1
+
+
+def test_carrier_step_makes_no_per_box_slot_end_calls(monkeypatch):
+    # 500 balls on the even boxes 0..998, three explicit capacities
+    s = State(500, {2 * k: (500 - k,) for k in range(500)}, CapacityProfile({1: 2, 501: 3, 1003: 4}))
+    expected = naive_original_step(s)
+    calls = []
+    slot_end = CapacityProfile.slot_end
+    monkeypatch.setattr(CapacityProfile, "slot_end", lambda p, label: calls.append(label) or slot_end(p, label))
+    assert carrier_step(s) == expected
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "capacities",
+    [UNIT_CAPACITY, CapacityProfile({-(10**12): 2, 0: 2, 5 * 10**11: 4, 10**12: 3, 10**12 + 1: 2})],
+)
+def test_carrier_step_is_linear_in_the_balls_on_a_sparse_state(capacities):
+    # a window of about 10**12 boxes: a sweep that read it box by box or slot by slot would not finish
+    gap = 10**12
+    s = State(2, {0: (2,), gap: (1,)}, capacities)
+    after = State(2, {1: (2,), gap + 1: (1,)}, capacities)
+    assert carrier_step(s) == after
+    assert reverse_step(after) == s
+
+
+def test_carrier_step_fills_a_deep_box_in_linear_time():
+    # 10**5 balls move from one box into the next: about 0.15 s of CPU time when each drop costs O(1),
+    # about 18 s when each drop copies the box's drops so far
+    m = 10**5
+    capacities = CapacityProfile({0: m, 1: m})
+    start = time.process_time()
+    after = carrier_step(State(1, {0: (1,) * m}, capacities))
+    assert time.process_time() - start < 3
+    assert after == State(1, {1: (1,) * m}, capacities)
 
 
 def test_q_evolve_makes_no_per_box_capacity_calls(monkeypatch):

@@ -98,6 +98,22 @@ def test_parse_errors():
         parse_state("@١ 12")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0", "bad token '0' in box 1"),
+        ("@2 1_0", "bad token '0' in box 3"),
+        ("1²3", "bad token '²' in box 2"),
+        ("1 ١ 2", "bad token '١' in box 2"),
+        ("1 0 12", "bad token '0' in box 2"),
+    ],
+)
+def test_compact_tokens_outside_the_digit_table_keep_their_messages(text, message):
+    with pytest.raises(StateParseError) as err:
+        parse_state(text)
+    assert str(err.value) == message
+
+
 def test_render_compact_reference():
     stepped = carrier_step(parse_state("@1 234_15", colors=5))
     assert render_state(stepped, "compact", (0, 9)) == "____23_145"

@@ -8,7 +8,7 @@ message.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxball.bbs import CapacityProfile, State
@@ -118,18 +118,41 @@ def test_biword_checks_match_the_reference(pair):
         assert (bw.top, bw.bottom) == reference_biword(top, bottom)
 
 
+class Int(int):
+    """An int subclass: ``State`` must store it as a plain ``int``."""
+
+
+def int_likes(lo, hi):
+    """Integers in lo..hi, sometimes as an ``Int``, and sometimes a ``bool``."""
+    return st.integers(lo, hi) | st.integers(lo, hi).map(Int) | st.booleans()
+
+
+def typed(balls) -> list:
+    """Boxes in label order with the exact type of every label, color and box."""
+    return [
+        (type(label), label, type(colors), [(type(c), c) for c in colors])
+        for label, colors in sorted(balls.items())
+    ]
+
+
 @given(
     st.integers(-1, 4),
-    st.dictionaries(st.integers(-3, 6), st.lists(st.integers(0, 5), max_size=4), max_size=5),
+    st.dictionaries(
+        int_likes(-3, 6),
+        st.lists(int_likes(0, 5), max_size=4).flatmap(lambda colors: st.sampled_from([colors, tuple(colors)])),
+        max_size=5,
+    ),
     st.dictionaries(st.integers(-3, 6), st.integers(1, 3), max_size=4),
     st.integers(1, 3),
 )
+@example(2, {True: (1,), Int(3): (Int(2),)}, {}, 1)
+@example(2, {0: [1], 1: (True,)}, {}, 1)
 def test_state_checks_match_the_reference(n, balls, explicit, default):
     capacities = CapacityProfile(explicit, default)
     expected = first_error(lambda: reference_state(n, balls, capacities))
     assert first_error(lambda: State(n, balls, capacities)) == expected
     if expected is None:
-        assert dict(State(n, balls, capacities).balls) == reference_state(n, balls, capacities)
+        assert typed(State(n, balls, capacities).balls) == typed(reference_state(n, balls, capacities))
 
 
 def test_state_reports_a_bad_color_before_an_overfull_box():
