@@ -22,11 +22,13 @@ e exceeds everything the carrier holds, so a run of k vacancies is k wraps
 that unload the carrier's k least entries, one slice of its sorted list,
 and a ball never wraps, since the carrier always keeps an e above it.  The
 sweep reads the occupied boxes' slot ends in one pass
-(``CapacityProfile.slot_ends``) and drops each ball straight into its
-box, boxes in label order, so a step builds its next ``State`` once; a
-one-ball box is built as a 1-tuple, the normal form that ``State`` stores
-as it comes, with no conversion or check beyond its color range.  The ball-moving rule
-itself lives only in ``oracle.naive_original_step``, as an independent
+(``CapacityProfile.slot_ends``) and records each drop as a box label and
+a color, two flat lists in slot order.  ``_boxes`` turns such
+label-ordered columns into boxes, for a step and for ``biword_to_state``
+alike, so a step builds its next ``State`` once; a one-ball box is a
+1-tuple, the normal form that ``State`` stores as it comes, with no
+conversion or check beyond its color range.  The ball-moving rule itself
+lives only in ``oracle.naive_original_step``, as an independent
 reference.
 The step backwards is the forward step seen in a mirror (``mirror``: box j
 to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
@@ -40,12 +42,12 @@ right by at most the ball count N, so magnitudes stay small at desk scale.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .rsk import BiWord, dual, rsk
 from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
@@ -240,10 +242,7 @@ def state_to_biword(s: State) -> BiWord:
 
 def biword_to_state(bw: BiWord, capacities: CapacityProfile, n: int) -> State:
     """Inverse of ``state_to_biword`` against a given capacity profile."""
-    boxes: dict[int, list[int]] = defaultdict(list)
-    for label, color in zip(bw.top, bw.bottom):
-        boxes[label].append(color)
-    return State(n, boxes, capacities)
+    return State(n, _boxes(bw.top, bw.bottom), capacities)
 
 
 def p_symbol(s: State) -> Tableau:
@@ -320,7 +319,7 @@ def carrier_step(s: State) -> State:
     return State(s.n, boxes, s.capacities)
 
 
-def _box_sweep(s: State) -> tuple[dict[int, Word | list[int]], list[int]]:
+def _box_sweep(s: State) -> tuple[dict[int, Word], list[int]]:
     """The colors the carrier drops over the window, per box in label order, and the balls it ends holding."""
     count = s.ball_count
     label_of_slot = s.capacities.label_of_slot
@@ -331,19 +330,14 @@ def _box_sweep(s: State) -> tuple[dict[int, Word | list[int]], list[int]]:
     gaps = [b - len(balls) - a for a, b, balls in zip(ends, ends[1:], boxes[1:])] + [count]
     held: list[int] = []  # the carrier's balls are held[start:], ascending
     start = 0
-    # drops come in slot order, so each box is filled in one run; a one-ball box is a 1-tuple, the
-    # normal form that ``State`` stores as it is
-    dropped: dict[int, Word | list[int]] = {}
-    last = None  # the box that the latest drop filled
+    into: list[int] = []  # each drop's box label and color, in slot order
+    drops: list[int] = []
     for label, balls, end, gap in zip(labels, boxes, ends, gaps):
         for x in balls:
             i = bisect_right(held, x, start)
             if i < len(held):
-                if label != last:
-                    dropped[label] = (held[i],)
-                    last = label
-                else:
-                    _drop_again(dropped, label, held[i])
+                into.append(label)
+                drops.append(held[i])
                 held[i] = x
             elif len(held) - start < count:  # an e leaves, and x is now the largest ball
                 held.append(x)
@@ -351,22 +345,27 @@ def _box_sweep(s: State) -> tuple[dict[int, Word | list[int]], list[int]]:
                 raise InvariantError(f"ball {x} in box {label} found no sentinel in the carrier")
         stop = min(start + gap, len(held))
         if stop > start:
-            for into_label, y in zip(map(label_of_slot, range(end + 1, end + 1 + stop - start)), held[start:stop]):
-                if into_label != last:
-                    dropped[into_label] = (y,)
-                    last = into_label
-                else:
-                    _drop_again(dropped, into_label, y)
+            into.extend(map(label_of_slot, range(end + 1, end + 1 + stop - start)))
+            drops.extend(held[start:stop])
             start = stop
-    return dropped, held[start:]
+    return _boxes(into, drops), held[start:]
 
 
-def _drop_again(dropped: dict[int, Word | list[int]], label: int, y: int) -> None:
-    """A further drop into a box: the box turns into a list, so that filling it with m balls costs O(m), not O(m^2)."""
-    box = dropped[label]
-    if type(box) is tuple:
-        box = dropped[label] = list(box)
-    box.append(y)
+def _boxes(labels: Sequence[int], colors: Sequence[int]) -> dict[int, Word]:
+    """Boxes from columns in label order, box label over ball color: each label's colors, in column order.
+
+    A box of one ball is a 1-tuple, the normal form that ``State`` stores as
+    it is.  Only a repeated label, a box of several balls, takes the second,
+    grouping pass.
+    """
+    boxes = dict(zip(labels, zip(colors)))
+    if len(boxes) < len(labels):
+        boxes = {}
+        start = 0
+        for label, m in Counter(labels).items():  # labels ascend, and so do their counts
+            boxes[label] = tuple(colors[start:start + m])
+            start += m
+    return boxes
 
 
 def mirror(s: State) -> State:

@@ -64,15 +64,10 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _pick_notation(args: argparse.Namespace, states) -> str:
-    if args.notation:
-        return args.notation
-    return "compact" if all(s.capacities.is_unit for s in states) else "walled"
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
-    states = evolve(_load_state(args), args.steps)
-    notation = _pick_notation(args, states)
+    s = _load_state(args)
+    states = evolve(s, args.steps)
+    notation = args.notation or ("compact" if s.capacities.is_unit else "walled")
     _emit(args, render_trajectory(states, notation, args.span, args.empty))
     return 0
 

@@ -87,6 +87,7 @@ def _summed_slot_end(p, label):
     st.lists(st.integers(-60, 60) | st.integers(-10**6, 10**6), min_size=1, max_size=8),
 )
 @example({-1: 4, 2: 3}, 2, [0, -6, 5])
+@example({0: 3, 2: 2}, 1, [0, 1, 2])  # an explicit box at label 0
 def test_slot_ranges_tile_the_line(explicit, default, points):
     p = CapacityProfile(explicit, default)
     assert p.slot_end(0) == 0
@@ -363,6 +364,7 @@ def test_carrier_step_fills_a_deep_box_in_linear_time():
     capacities = CapacityProfile({0: m, 1: m})
     start = time.process_time()
     after = carrier_step(State(1, {0: (1,) * m}, capacities))
+    assert biword_to_state(state_to_biword(after), capacities, 1) == after
     assert time.process_time() - start < 3
     assert after == State(1, {1: (1,) * m}, capacities)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxball.bbs import CapacityProfile, State
+from boxball.bbs import CapacityProfile, State, biword_to_state
 from boxball.rsk import BiWord
 from boxball.tableau import Tableau, tab
 
@@ -147,6 +147,7 @@ def typed(balls) -> list:
 )
 @example(2, {True: (1,), Int(3): (Int(2),)}, {}, 1)
 @example(2, {0: [1], 1: (True,)}, {}, 1)
+@example(2, {1: (0,)}, {}, 1)  # color 0 in a normal-form box
 def test_state_checks_match_the_reference(n, balls, explicit, default):
     capacities = CapacityProfile(explicit, default)
     expected = first_error(lambda: reference_state(n, balls, capacities))
@@ -162,3 +163,8 @@ def test_state_reports_a_bad_color_before_an_overfull_box():
         State(2, {4: (3,)})
     with pytest.raises(ValueError, match=r"^box 4 holds 3 balls but has capacity 2$"):
         State(2, {4: (1, 2, 2)}, CapacityProfile({4: 2}))
+    # the same boxes built from a bi-word with a repeated label
+    with pytest.raises(ValueError, match=r"^box 4 holds a color outside 1\.\.2$"):
+        biword_to_state(BiWord((4, 4, 4), (1, 3, 3)), CapacityProfile({4: 2}), 2)
+    with pytest.raises(ValueError, match=r"^box 4 holds 3 balls but has capacity 2$"):
+        biword_to_state(BiWord((4, 4, 4), (1, 2, 2)), CapacityProfile({4: 2}), 2)
