@@ -6,13 +6,15 @@ sentinel e is represented as n+1 and compares greater than every color.
 
 Boxes are expanded into *slots*: with d(0) = 0 and d(j) - d(j-1) equal to
 the capacity of box j, box j owns slots d(j-1)+1 .. d(j).  A box's m
-balls take its last m slots (``_packed_slots``), colors ascending, so a
-state is fully described by the multiset of colors per box.  A step
-acts on the *window*, the slots from the first ball to N slots past the
-last, N the ball count; ``slot_word`` is the one helper that reads it,
-returning its first slot and one letter per slot.  Standard BBS: every
-capacity 1, all colors distinct.  Advanced: every capacity 1, repeated
-colors allowed.  Generalized: arbitrary capacities.
+balls take its last m slots, colors ascending, so a state is fully
+described by the multiset of colors per box.  A step acts on the
+*window*, the slots from the first ball to N slots past the last, N the
+ball count; ``slot_word`` is the one helper that reads it, returning its
+first slot and one letter per slot.  ``_packed_slots`` (occupied slots)
+and ``_vacant_labels`` (vacant-slot labels) read the window from a
+bi-word's top row: box labels ascending, one per ball.  Standard BBS:
+every capacity 1, all colors distinct.  Advanced: every capacity 1,
+repeated colors allowed.  Generalized: arbitrary capacities.
 
 One time step moves colors 1, 2, ..., n in order, the leftmost unmoved
 ball of the current color first, each ball to the nearest vacant slot
@@ -33,7 +35,7 @@ reference.
 The step backwards is the forward step seen in a mirror (``mirror``: box j
 to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
 by a carrier over the vacant-slot labels (``box_label_step``,
-``q_evolve``), which both build box by box from the ball counts and the
+``q_evolve``), which both build box by box from the top row and the
 window's capacities, read as one list (``CapacityProfile.capacity_range``).
 Labels and slot indices are plain Python integers; one step shifts labels
 right by at most the ball count N, so magnitudes stay small at desk scale.
@@ -127,7 +129,7 @@ class CapacityProfile:
         """Cumulative boundary d(label); box j owns slots d(j-1)+1 .. d(j)."""
         return label * self.default + self._excess[bisect_right(self._labels, label)]
 
-    def slot_ends(self, labels: list[int]) -> list[int]:
+    def slot_ends(self, labels: Sequence[int]) -> list[int]:
         """``slot_end`` of each label, in one pass over the list."""
         excess = map(self._excess.__getitem__, map(bisect_right, repeat(self._labels), labels))
         return list(map(add, map(mul, labels, repeat(self.default)), excess))
@@ -199,15 +201,14 @@ class State:
         return not self.balls
 
 
-def _packed_slots(counts: Iterable[tuple[int, int]], capacities: CapacityProfile) -> list[int]:
-    """Ascending slots of (label, m) pairs in ascending label order: m balls take a box's last m slots."""
-    capacity, slot_end = capacities.capacity, capacities.slot_end
+def _packed_slots(top: Sequence[int], capacities: CapacityProfile) -> list[int]:
+    """Slots of an ascending top row, a box label per ball: a box's m balls take its last m slots."""
+    ends = capacities.slot_ends(top)
     slots: list[int] = []
-    for label, m in counts:
-        cap = capacity(label)
-        if m > cap:
-            raise _overfull(label, m, cap)
-        end = slot_end(label)
+    for label, m in Counter(top).items():  # top ascends, and so do its counts
+        if m > 1 and m > capacities.capacity(label):  # one ball fits any box
+            raise _overfull(label, m, capacities.capacity(label))
+        end = ends[len(slots) + m - 1]
         slots.extend(range(end - m + 1, end + 1))
     return slots
 
@@ -225,11 +226,11 @@ def slot_word(s: State) -> tuple[int, Word]:
     """
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    labels = sorted(s.balls)
-    slots = _packed_slots([(label, len(s.balls[label])) for label in labels], s.capacities)
+    bw = state_to_biword(s)
+    slots = _packed_slots(bw.top, s.capacities)
     p = slots[0]
     letters = [s.sentinel] * (slots[-1] - p + 1 + len(slots))
-    for slot, color in zip(slots, chain.from_iterable(map(s.balls.__getitem__, labels))):
+    for slot, color in zip(slots, bw.bottom):
         letters[slot - p] = color
     return p, tuple(letters)
 
@@ -398,27 +399,27 @@ def label_carrier(s: State) -> Carrier:
     """
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    return _vacant_labels([(label, len(s.balls[label])) for label in sorted(s.balls)], s.capacities)
+    return _vacant_labels(state_to_biword(s).top, s.capacities)
 
 
-def _vacant_labels(counts: list[tuple[int, int]], capacities: CapacityProfile) -> Carrier:
-    """Vacant-slot labels over the window of ascending (label, m) pairs; see ``label_carrier``.
+def _vacant_labels(top: Sequence[int], capacities: CapacityProfile) -> Carrier:
+    """Vacant-slot labels over the window of an ascending top row, a box label per ball; see ``label_carrier``.
 
     Raises ``ValueError`` if a box holds more balls than its capacity.
     """
-    (first, m_first), (last, _) = counts[0], counts[-1]
+    first, last = top[0], top[-1]
     end = capacities.slot_end(last)
     # [p, q] has N slots and N balls more than [p, end], so as many vacancies as [p, end] has slots
-    vacancies = end - capacities.slot_end(first) + m_first
-    stop = capacities.label_of_slot(end + sum(m for _, m in counts)) + 1
+    vacancies = end - capacities.slot_end(first) + bisect_right(top, first)
+    stop = capacities.label_of_slot(end + len(top)) + 1
     room = capacities.capacity_range(first, stop)
-    for label, m in counts:
-        k = label - first
-        if m > room[k]:
-            raise _overfull(label, m, room[k])
-        room[k] -= m
+    for label in top:
+        room[label - first] -= 1
+        if room[label - first] < 0:  # top ascends, so this is the least overfull box
+            raise _overfull(label, top.count(label), capacities.capacity(label))
     room[0] = 0  # the window starts at the first ball, past the first box's vacancies
-    return tuple(chain.from_iterable(map(repeat, range(first, stop), room)))[:vacancies]  # q cuts its box
+    # q cuts its box, which may be far wider than the window
+    return tuple(islice(chain.from_iterable(map(repeat, range(first, stop), room)), vacancies))
 
 
 def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
@@ -462,8 +463,8 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     """
     if not q.rows:
         return q
-    counts = list(Counter(sorted(chain.from_iterable(q.rows))).items())  # _vacant_labels rejects an overfull box
-    out = iter(carrier_pass(_vacant_labels(counts, capacities), word_of(q))[0])
+    top = sorted(chain.from_iterable(q.rows))  # _vacant_labels rejects an overfull box
+    out = iter(carrier_pass(_vacant_labels(top, capacities), word_of(q))[0])
     rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
     try:
         return Tableau(tuple(reversed(rows)))
@@ -481,28 +482,25 @@ def evolve(s: State, steps: int) -> list[State]:
     return out
 
 
-def reduce_generalized_to_advanced(
-    bw: BiWord, capacities: CapacityProfile
-) -> tuple[BiWord, dict[int, int]]:
+def reduce_generalized_to_advanced(bw: BiWord, capacities: CapacityProfile) -> BiWord:
     """Replace box labels by absolute slot indices.
 
     Each occupied box's balls take the last slots of the box, ascending
-    with color.  Returns the advanced bi-word together with the slot-to-
-    label map over the window, which recovers the generalized bi-word.
+    with color.  ``capacities.label_of_slot`` maps each slot back to its
+    box label, which recovers the generalized bi-word.
     """
-    tops = _packed_slots(Counter(bw.top).items(), capacities)  # bw.top ascends, and so do its counts
-    slots = range(tops[0], tops[-1] + len(tops) + 1) if tops else ()
-    return BiWord(tuple(tops), bw.bottom), {slot: capacities.label_of_slot(slot) for slot in slots}
+    return BiWord(tuple(_packed_slots(bw.top, capacities)), bw.bottom)
 
 
-def reduce_advanced_to_standard(bw: BiWord) -> tuple[BiWord, dict[int, int]]:
+def reduce_advanced_to_standard(bw: BiWord) -> BiWord:
     """Relabel the balls 1..N in the dual bi-word's color order.
 
     The k-th column of the dual (sorted by color, then label) becomes ball
-    k; the returned rank-to-color map recovers the advanced bi-word.
+    k, so ball r has color ``sorted(bw.bottom)[r - 1]``, which recovers the
+    advanced bi-word.
     """
-    cols = bw.columns()
-    order = sorted(range(len(cols)), key=lambda k: (cols[k][1], cols[k][0]))
-    color_map = {r + 1: cols[k][1] for r, k in enumerate(order)}
-    rank = {k: r + 1 for r, k in enumerate(order)}
-    return BiWord(bw.top, tuple(rank[k] for k in range(len(cols)))), color_map
+    order = sorted(range(len(bw)), key=bw.bottom.__getitem__)  # stable: equal colors keep label order
+    rank = [0] * len(order)
+    for r, k in enumerate(order, 1):
+        rank[k] = r
+    return BiWord(bw.top, tuple(rank))

@@ -123,7 +123,7 @@ def superstandard_tableaux(outline: tuple[int, ...]) -> tuple[Tableau, Tableau]:
 # ---------------------------------------------------------------------------
 # Single-instance checks
 
-def check_p_conservation(s: State, steps: int = 10) -> bool:
+def check_p_conservation(s: State, steps: int) -> bool:
     return len(set(map(p_symbol, evolve(s, steps)))) == 1
 
 
@@ -188,14 +188,12 @@ def check_reduction_commutes(s: State) -> bool:
     """One generalized step equals reduce -> standard step -> un-reduce."""
     if s.is_empty():
         return True
-    advanced, slot_labels = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
-    standard, rank_colors = reduce_advanced_to_standard(advanced)
-    n_std = len(standard)
-    stepped_std = carrier_step(biword_to_state(standard, UNIT_CAPACITY, n_std))
-    bw_std = state_to_biword(stepped_std)
-    advanced_next = BiWord(bw_std.top, tuple(rank_colors[r] for r in bw_std.bottom))
+    advanced = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
+    standard = reduce_advanced_to_standard(advanced)
+    stepped = state_to_biword(carrier_step(biword_to_state(standard, UNIT_CAPACITY, len(standard))))
+    colors = sorted(advanced.bottom)  # ball r of the standard state has color colors[r - 1]
     generalized_next = make_biword(
-        (slot_labels[i], c) for i, c in zip(advanced_next.top, advanced_next.bottom)
+        (s.capacities.label_of_slot(slot), colors[r - 1]) for slot, r in zip(stepped.top, stepped.bottom)
     )
     return biword_to_state(generalized_next, s.capacities, s.n) == carrier_step(s)
 

@@ -199,8 +199,9 @@ def test_window_reference_values():
     """The window [p, p + len - 1] of each state, from the first ball to N slots past the last."""
     windows = [(p, len(word)) for p, word in map(slot_word, (SMALL, WIDE, State(1, {0: (1,)})))]
     assert windows == [(1, 11), (3, 24), (0, 2)]
-    with pytest.raises(ValueError, match="an empty state has no window"):
-        slot_word(State(3, {}))
+    for window_of in (slot_word, label_carrier):
+        with pytest.raises(ValueError, match="an empty state has no window"):
+            window_of(State(3, {}))
 
 
 def test_state_biword_reference():
@@ -567,17 +568,32 @@ def test_slot_word_packs_vacancies_left():
     assert slot_word(WIDE) == (3, (5, 6, 1, 2, 5, 4, 6, 6, 3, 1, 2, 6, 4, 5) + (6,) * 10)
     assert slot_word(SMALL) == (1, (2, 3, 4, 6, 1, 5) + (6,) * 5)
     # the occupied (slot, color) pairs, ascending, as the advanced bi-word's columns
-    advanced, _ = reduce_generalized_to_advanced(state_to_biword(SMALL), UNIT_CAPACITY)
+    advanced = reduce_generalized_to_advanced(state_to_biword(SMALL), UNIT_CAPACITY)
     assert advanced.columns() == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
 
 
 def test_vacant_labels_reference():
-    counts = [(label, len(colors)) for label, colors in sorted(WIDE.balls.items())]
-    assert _vacant_labels(counts, WIDE_CAPS) == (2, 4, 4, 6, 7, 7, 8, 9, 9, 9, 9, 9, 10, 10)
+    assert _vacant_labels(state_to_biword(WIDE).top, WIDE_CAPS) == (2, 4, 4, 6, 7, 7, 8, 9, 9, 9, 9, 9, 10, 10)
     # slots -3, -2, 0 in the window [-3, 3]
-    assert _vacant_labels([(-3, 1), (-2, 1), (0, 1)], UNIT_CAPACITY) == (-1, 1, 2, 3)
+    assert _vacant_labels((-3, -2, 0), UNIT_CAPACITY) == (-1, 1, 2, 3)
     # default capacity 2 and one box of capacity 1: slots 0, 1, 2, 6 in the window [0, 10]
-    assert _vacant_labels([(0, 1), (1, 2), (3, 1)], CapacityProfile({5: 1}, 2)) == (2, 2, 3, 4, 4, 5, 6)
+    assert _vacant_labels((0, 1, 1, 3), CapacityProfile({5: 1}, 2)) == (2, 2, 3, 4, 4, 5, 6)
+
+
+@pytest.mark.parametrize("default", [10**6, 10**9])
+def test_the_vacant_carrier_takes_no_more_of_a_wide_box_than_the_window(default):
+    """One ball before boxes of a huge default capacity: the carrier is the window's one vacant slot."""
+    import tracemalloc
+
+    s = State(1, {1: (1,)}, CapacityProfile({1: 1}, default))
+    tracemalloc.start()
+    try:
+        assert label_carrier(s) == (2,)
+        assert q_evolve(q_symbol(s), s.capacities) == Tableau([[2]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _slot_by_slot(s):
@@ -630,9 +646,9 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
         patch.setattr(bbs, "carrier_pass", spy)
         assert q_evolve(q_symbol(s), s.capacities) == expected
     assert carriers == [vacant]
-    advanced, slot_labels = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
+    advanced = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
     assert advanced.top == occupied
-    assert slot_labels == labels
+    assert tuple(map(s.capacities.label_of_slot, advanced.top)) == state_to_biword(s).top
 
 
 # ---------------------------------------------------------------------------
@@ -659,38 +675,40 @@ def test_p_symbol_conserved_on_reference():
 
 def test_reduce_generalized_reference():
     bw = state_to_biword(WIDE)
-    advanced, slot_labels = reduce_generalized_to_advanced(bw, WIDE_CAPS)
+    advanced = reduce_generalized_to_advanced(bw, WIDE_CAPS)
     assert advanced.top == (3, 5, 6, 7, 8, 11, 12, 13, 15, 16)
     assert advanced.bottom == bw.bottom
-    assert [slot_labels[i] for i in advanced.top] == list(bw.top)
-    assert slot_labels[26] == 10
+    assert tuple(map(WIDE_CAPS.label_of_slot, advanced.top)) == bw.top
+    assert WIDE_CAPS.label_of_slot(26) == 10
     with pytest.raises(ValueError, match="box 1"):
         reduce_generalized_to_advanced(BiWord((1, 1), (1, 2)), UNIT_CAPACITY)
 
 
 def test_reduce_generalized_identity_on_unit_capacities():
     bw = state_to_biword(SMALL)
-    advanced, slot_labels = reduce_generalized_to_advanced(bw, UNIT_CAPACITY)
+    advanced = reduce_generalized_to_advanced(bw, UNIT_CAPACITY)
     assert advanced == bw
-    assert all(slot_labels[i] == i for i in slot_labels)
-    assert reduce_generalized_to_advanced(BiWord(), UNIT_CAPACITY) == (BiWord(), {})
+    window = range(advanced.top[0], advanced.top[-1] + len(bw) + 1)
+    assert all(UNIT_CAPACITY.label_of_slot(i) == i for i in window)
+    assert reduce_generalized_to_advanced(BiWord(), UNIT_CAPACITY) == BiWord()
 
 
 def test_reduce_advanced_reference():
     advanced = BiWord((3, 5, 6, 7, 8, 11, 12, 13, 15, 16), (5, 1, 2, 5, 4, 3, 1, 2, 4, 5))
-    standard, colors = reduce_advanced_to_standard(advanced)
+    standard = reduce_advanced_to_standard(advanced)
     assert standard.bottom == (8, 1, 3, 9, 6, 5, 2, 4, 7, 10)
-    assert tuple(colors[r] for r in standard.bottom) == advanced.bottom
+    colors = sorted(advanced.bottom)
+    assert tuple(colors[r - 1] for r in standard.bottom) == advanced.bottom
     # the standard system's dual lists the slots by rank
     assert dual(standard).top == tuple(range(1, 11))
 
 
 def test_reduce_advanced_on_already_standard():
     bw = state_to_biword(SMALL)
-    standard, colors = reduce_advanced_to_standard(bw)
+    standard = reduce_advanced_to_standard(bw)
     assert standard == bw
-    assert colors == {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
-    assert reduce_advanced_to_standard(BiWord()) == (BiWord(), {})
+    assert sorted(bw.bottom) == [1, 2, 3, 4, 5]
+    assert reduce_advanced_to_standard(BiWord()) == BiWord()
 
 
 def test_reduction_commutes_with_evolution():

@@ -268,6 +268,9 @@ def test_compact_output_rejects_an_empty_wider_state(capsys, monkeypatch, span):
     monkeypatch.setattr("sys.stdin", io.StringIO("__\n"))
     assert main(["evolve", "--notation", "compact", "--steps", "1"]) == 0
     assert capsys.readouterr().out == "\n\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("__\n"))
+    assert main(["trace"]) == 0
+    assert capsys.readouterr() == ("(empty state: nothing to trace)\n", "")
 
 
 VERIFY_SUITES = {
