@@ -12,7 +12,8 @@ described by the multiset of colors per box.  A step acts on the
 ball count; ``slot_word`` is the one helper that reads it, returning its
 first slot and one letter per slot.  ``_packed_slots`` (occupied slots)
 and ``_vacant_labels`` (vacant-slot labels) read the window from a
-bi-word's top row: box labels ascending, one per ball.  Standard BBS:
+bi-word's top row: box labels ascending, one per ball, which for a state
+``_columns`` reads as a plain list together with the colors.  Standard BBS:
 every capacity 1, all colors distinct.  Advanced: every capacity 1,
 repeated colors allowed.  Generalized: arbitrary capacities.
 
@@ -32,6 +33,11 @@ alike, so a step builds its next ``State`` once; a one-ball box is a
 conversion or check beyond its color range.  The ball-moving rule itself
 lives only in ``oracle.naive_original_step``, as an independent
 reference.
+``evolve`` steps a dense window, at most ``_DENSE`` vacant slots per ball,
+by the box-label carrier instead, carried from step to step
+(``_trajectory``), and hands over to ``carrier_step`` for the rest of the
+run once the window is sparser; single steps, ``reverse_step`` and the
+sparse windows stay on the sweep.
 The step backwards is the forward step seen in a mirror (``mirror``: box j
 to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
 by a carrier over the vacant-slot labels (``box_label_step``,
@@ -46,16 +52,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rsk import BiWord, dual, rsk
 from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
 
 Carrier = tuple[int, ...]  # weakly increasing multiset of letters or labels
 LabelSequence = tuple[int, ...]  # box labels listed per ascending ball color
+_DENSE = 4  # evolve steps by the label carrier while the window holds at most this many vacant slots per ball
 
 
 @dataclass(frozen=True)
@@ -226,19 +233,28 @@ def slot_word(s: State) -> tuple[int, Word]:
     """
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    bw = state_to_biword(s)
-    slots = _packed_slots(bw.top, s.capacities)
+    top, colors = _columns(s)
+    slots = _packed_slots(top, s.capacities)
     p = slots[0]
     letters = [s.sentinel] * (slots[-1] - p + 1 + len(slots))
-    for slot, color in zip(slots, bw.bottom):
+    for slot, color in zip(slots, colors):
         letters[slot - p] = color
     return p, tuple(letters)
 
 
 def state_to_biword(s: State) -> BiWord:
     """Columns (box label over ball color) scanned left to right."""
-    cols = [(label, color) for label in sorted(s.balls) for color in s.balls[label]]
-    return BiWord(tuple(i for i, _ in cols), tuple(j for _, j in cols))
+    return BiWord(*_columns(s))
+
+
+def _columns(s: State) -> tuple[list[int], list[int]]:
+    """A state's columns in label order: the box label of each ball, ascending, and the ball colors."""
+    labels = sorted(s.balls)
+    boxes = list(map(s.balls.__getitem__, labels))
+    colors = list(chain.from_iterable(boxes))
+    if len(colors) > len(labels):  # a box of several balls repeats its label once per ball
+        labels = list(chain.from_iterable(map(repeat, labels, map(len, boxes))))
+    return labels, colors
 
 
 def biword_to_state(bw: BiWord, capacities: CapacityProfile, n: int) -> State:
@@ -311,6 +327,9 @@ def carrier_step(s: State) -> State:
     never wraps: the carrier holds at most the balls swept before x, fewer
     than N, so an e exceeds x.  It unloads the least ball above x, which
     drops at x's slot, in x's own box, or else an e.
+
+    The cost is O(N) for N balls, however wide the window; ``evolve``
+    calls it only once a window is sparse.
     """
     if s.is_empty():
         return s
@@ -399,7 +418,7 @@ def label_carrier(s: State) -> Carrier:
     """
     if s.is_empty():
         raise ValueError("an empty state has no window")
-    return _vacant_labels(state_to_biword(s).top, s.capacities)
+    return _vacant_labels(_columns(s)[0], s.capacities)
 
 
 def _vacant_labels(top: Sequence[int], capacities: CapacityProfile) -> Carrier:
@@ -418,6 +437,8 @@ def _vacant_labels(top: Sequence[int], capacities: CapacityProfile) -> Carrier:
         if room[label - first] < 0:  # top ascends, so this is the least overfull box
             raise _overfull(label, top.count(label), capacities.capacity(label))
     room[0] = 0  # the window starts at the first ball, past the first box's vacancies
+    if max(room) == 1:  # single vacancies: the box holding q is empty, so it has capacity 1 and ends at q
+        return tuple(compress(range(first, stop), room))
     # q cuts its box, which may be far wider than the window
     return tuple(islice(chain.from_iterable(map(repeat, range(first, stop), room)), vacancies))
 
@@ -473,13 +494,74 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
 
 
 def evolve(s: State, steps: int) -> list[State]:
-    """Trajectory [s, carrier_step(s), ...] of length steps + 1."""
+    """Trajectory [s, carrier_step(s), ...] of length steps + 1.
+
+    Stepped by the box-label carrier while the window is dense, then by
+    ``carrier_step``; see ``_trajectory``.
+    """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    out = [s]
-    for _ in range(steps):
-        out.append(carrier_step(out[-1]))
-    return out
+    return list(islice(_trajectory(s), steps + 1))
+
+
+def _trajectory(s: State) -> Iterator[State]:
+    """The states s, carrier_step(s), ... without end.
+
+    While the window holds at most ``_DENSE`` vacant slots per ball, a
+    step is ``box_label_step`` with its carrier carried over from the step
+    before.  The ball colors, read in (color, label) order, never change;
+    each ball takes the least vacant label above its own and leaves its
+    own label in the carrier.  After the pass the carrier holds the vacant
+    labels of the new state over the old window; the labels of the slots
+    the window gains at its end are appended, and every label at or below
+    the new first ball is cut, since the first box packs its balls right
+    and so has no vacancy in the window.  That makes each step O(N) plus
+    the slots the window gains.  On a sparser window, at the start or once
+    the solitons spread, the rest of the run is ``carrier_step``, whose
+    cost does not depend on the window's width.
+    """
+    yield s
+    count, capacities = s.ball_count, s.capacities
+    if count:
+        labels, colors = _columns(s)
+        carrier: list[int] | None = None
+        end = 0  # the window's last slot, q
+        while True:
+            first, last = min(labels), max(labels)
+            first_end, last_end = capacities.slot_end(first), capacities.slot_end(last)
+            # [p, q] has N slots and N balls more than [p, d(last)], and the first box's m balls end at d(first)
+            vacancies = last_end - first_end + labels.count(first)
+            if vacancies > _DENSE * count:
+                break
+            if carrier is None:
+                carrier = list(_vacant_labels(labels, capacities))
+                pairs = sorted(zip(colors, labels))
+                colors, labels = [c for c, _ in pairs], [j for _, j in pairs]  # labels: the box-label sequence
+                singles = list(zip(colors))  # each ball's one-ball box, shared by every state of the run
+            else:
+                # the slots past the old window; those of the first box would only be cut again
+                gained = range(max(end, first_end) + 1, last_end + count + 1)
+                carrier.extend(gained if capacities.is_unit else map(capacities.label_of_slot, gained))
+                del carrier[:bisect_right(carrier, first)]
+            end = last_end + count
+            if len(carrier) != vacancies:
+                raise InvariantError(f"the label carrier holds {len(carrier)} labels, not the {vacancies} vacancies")
+            try:
+                for k, x in enumerate(labels):
+                    i = bisect_right(carrier, x)
+                    labels[k] = carrier[i]
+                    carrier[i] = x
+            except IndexError:
+                raise InvariantError(f"the ball in box {x} found no vacant label above it") from None
+            boxes = dict(zip(labels, singles))
+            if len(boxes) < count:  # a box of several balls
+                cols = sorted(zip(labels, colors))
+                boxes = _boxes([j for j, _ in cols], [c for _, c in cols])
+            s = State(s.n, boxes, capacities)
+            yield s
+    while True:
+        s = carrier_step(s)
+        yield s
 
 
 def reduce_generalized_to_advanced(bw: BiWord, capacities: CapacityProfile) -> BiWord:

@@ -28,13 +28,14 @@ range, render with a span that covers them.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, compress
 
 from .bbs import CapacityProfile, State
 
 _PREFIX = re.compile(r"^@(-?\d+)", re.ASCII)
 _VACANT = ("_", "e")
 _DIGIT_BOXES = {str(c): (c,) for c in range(1, 10)}  # a compact token "1".."9" as its box
+_DIGIT_TEXT = tuple(map(str, range(10)))  # a color 1..9 as its compact token, at its index
 
 
 class StateParseError(ValueError):
@@ -65,12 +66,21 @@ def parse_state(text: str, colors: int | None = None) -> State:
         profile = CapacityProfile()
         label0 = 0 if first_label is None else first_label
         tokens = body.split()
-        if len(tokens) == 1:  # the body is stripped, so it holds no whitespace: one token per character
-            tokens = list(body)
-        digit = _DIGIT_BOXES.get
-        balls = {
-            label0 + k: digit(tok) or (_token_color(tok, k),) for k, tok in enumerate(tokens) if tok not in _VACANT
-        }
+        if len(tokens) > 1:  # whitespace-separated tokens: all checked at once, and a bad one named below
+            shown = [tok not in _VACANT for tok in tokens]
+            words = list(compress(tokens, shown))
+            digits = "".join(words)
+            values = list(map(int, words)) if digits.isascii() and digits.isdigit() else [0]
+            if 0 in values:
+                for k, tok in enumerate(tokens):
+                    if shown[k]:
+                        _token_color(tok, k)
+            balls = dict(zip(compress(range(label0, label0 + len(tokens)), shown), zip(values)))
+        else:  # the body is stripped, so it holds no whitespace: one token per character
+            digit = _DIGIT_BOXES.get
+            balls = {
+                label0 + k: digit(tok) or (_token_color(tok, k),) for k, tok in enumerate(body) if tok not in _VACANT
+            }
     n = max(chain.from_iterable(balls.values()), default=0)
     if colors is not None:
         if n > colors:
@@ -147,10 +157,10 @@ def render_state(
 
 def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str:
     tokens = [empty] * (hi - lo + 1)
+    wide = s.n > 9
     for j, (color,) in s.balls.items():
         if lo <= j <= hi:
-            tokens[j - lo] = str(color)
-    wide = s.n > 9
+            tokens[j - lo] = str(color) if wide else _DIGIT_TEXT[color]
     if wide and len(tokens) == 1:  # one token: a trailing vacancy marks the token mode
         tokens.append(empty)
     body = (" " if wide else "").join(tokens)

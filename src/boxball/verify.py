@@ -128,7 +128,9 @@ def check_p_conservation(s: State, steps: int) -> bool:
 
 
 def check_algorithms_agree(s: State) -> bool:
-    return carrier_step(s) == naive_original_step(s)
+    """The sweep and two steps of the trajectory, which may step by the label carrier, match the oracle."""
+    after = naive_original_step(s)
+    return carrier_step(s) == after and evolve(s, 2) == [s, after, naive_original_step(after)]
 
 
 def check_reversible(s: State) -> bool:

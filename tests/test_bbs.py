@@ -356,6 +356,8 @@ def test_carrier_step_is_linear_in_the_balls_on_a_sparse_state(capacities):
     after = State(2, {1: (2,), gap + 1: (1,)}, capacities)
     assert carrier_step(s) == after
     assert reverse_step(after) == s
+    # the window holds far more than a few vacancies per ball, so evolve hands over to the sweep at once
+    assert evolve(s, 2) == [s, after, State(2, {2: (2,), gap + 2: (1,)}, capacities)]
 
 
 def test_carrier_step_fills_a_deep_box_in_linear_time():
