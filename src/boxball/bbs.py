@@ -43,6 +43,10 @@ to -j, color c to n+1-c), and the occupied-box labels evolve autonomously
 by a carrier over the vacant-slot labels (``box_label_step``,
 ``q_evolve``), which both build box by box from the top row and the
 window's capacities, read as one list (``CapacityProfile.capacity_range``).
+Both run that carrier by ``_label_pass``, as ``evolve``'s dense steps do:
+over a window it never wraps, so a ball with no vacant label above it
+raises ``InvariantError``.  ``carrier_pass`` is the general pass, which
+may wrap, for slot words and for showing a pass letter by letter.
 Labels and slot indices are plain Python integers; one step shifts labels
 right by at most the ball count N, so magnitudes stay small at desk scale.
 """
@@ -443,16 +447,36 @@ def _vacant_labels(top: Sequence[int], capacities: CapacityProfile) -> Carrier:
     return tuple(islice(chain.from_iterable(map(repeat, range(first, stop), room)), vacancies))
 
 
+def _label_pass(labels: list[int], carrier: list[int]) -> tuple[list[int], list[int]]:
+    """The box-label carrier pass, in place, for a carrier that never wraps; returns both lists.
+
+    ``carrier`` is sorted.  Each label in turn takes the least carrier
+    label above it and leaves itself in that place, so the carrier stays
+    sorted: one bisection and two list writes per label.  Over a window
+    the carrier starts with N labels above every ball, so a label with
+    none above it is a fault, and raises ``InvariantError`` where
+    ``carrier_pass`` would wrap.
+    """
+    try:
+        for k, x in enumerate(labels):
+            i = bisect_right(carrier, x)
+            labels[k] = carrier[i]
+            carrier[i] = x
+    except IndexError:
+        raise InvariantError(f"the ball in box {x} found no vacant label above it") from None
+    return labels, carrier
+
+
 def box_label_step(s: State) -> tuple[LabelSequence, Carrier]:
     """Evolve the box-label sequence by a carrier of vacant-slot labels.
 
     Returns (b', C'): b' is the box-label sequence of ``carrier_step(s)``
     and C' the vacant-slot labels of the evolved state over the same
-    window.
+    window.  The pass is ``_label_pass``, which never wraps.
     """
     if s.is_empty():
         raise ValueError("an empty state has no box-label sequence")
-    return carrier_pass(label_carrier(s), box_label_sequence(s))
+    return tuple(map(tuple, _label_pass(list(box_label_sequence(s)), list(label_carrier(s)))))
 
 
 def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
@@ -470,7 +494,8 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     - No wrap.  The window ends N slots past the last occupied one, so the
       carrier starts with N labels above every letter, and each of the N
       letters replaces one carrier entry: every letter bumps, as in RSK
-      row insertion into the one row the carrier is.
+      row insertion into the one row the carrier is, so the pass is
+      ``_label_pass``, which raises ``InvariantError`` on a wrap.
     - Rows weakly increase.  Inserting x <= x' bumps x' strictly right of
       x, so the unloaded y <= y' (row bumping lemma).
     - Columns strictly increase.  Let a lower row a_1 <= .. <= a_p land at
@@ -485,7 +510,7 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     if not q.rows:
         return q
     top = sorted(chain.from_iterable(q.rows))  # _vacant_labels rejects an overfull box
-    out = iter(carrier_pass(_vacant_labels(top, capacities), word_of(q))[0])
+    out = iter(_label_pass(list(word_of(q)), list(_vacant_labels(top, capacities)))[0])
     rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
     try:
         return Tableau(tuple(reversed(rows)))
@@ -508,8 +533,8 @@ def _trajectory(s: State) -> Iterator[State]:
     """The states s, carrier_step(s), ... without end.
 
     While the window holds at most ``_DENSE`` vacant slots per ball, a
-    step is ``box_label_step`` with its carrier carried over from the step
-    before.  The ball colors, read in (color, label) order, never change;
+    step is ``box_label_step``'s ``_label_pass`` with its carrier carried
+    over from the step before.  The ball colors, read in (color, label) order, never change;
     each ball takes the least vacant label above its own and leaves its
     own label in the carrier.  After the pass the carrier holds the vacant
     labels of the new state over the old window; the labels of the slots
@@ -541,18 +566,12 @@ def _trajectory(s: State) -> Iterator[State]:
             else:
                 # the slots past the old window; those of the first box would only be cut again
                 gained = range(max(end, first_end) + 1, last_end + count + 1)
-                carrier.extend(gained if capacities.is_unit else map(capacities.label_of_slot, gained))
+                carrier.extend(map(capacities.label_of_slot, gained))
                 del carrier[:bisect_right(carrier, first)]
             end = last_end + count
             if len(carrier) != vacancies:
                 raise InvariantError(f"the label carrier holds {len(carrier)} labels, not the {vacancies} vacancies")
-            try:
-                for k, x in enumerate(labels):
-                    i = bisect_right(carrier, x)
-                    labels[k] = carrier[i]
-                    carrier[i] = x
-            except IndexError:
-                raise InvariantError(f"the ball in box {x} found no vacant label above it") from None
+            labels, carrier = _label_pass(labels, carrier)
             boxes = dict(zip(labels, singles))
             if len(boxes) < count:  # a box of several balls
                 cols = sorted(zip(labels, colors))

@@ -6,7 +6,9 @@ labels of either sign reach every suite; with a fixed seed the whole run
 is deterministic, so any failure is reproducible from the seed alone.  A
 failing suite also prints its first failing case: the case index, the
 run's seed and a command that replays it from anchored walled text,
-``boxball evolve`` for a state and ``boxball rsk`` for a bi-word.
+``boxball evolve`` for a state and ``boxball rsk`` for a bi-word.  A
+check that raises ``InvariantError``, an internal fault, fails its case
+the same way, and the run goes on.
 
 The q-independence suite pairs a state's recording tableau Q with the
 row-by-row and the column-by-column standard fillings of Q's shape as P,
@@ -51,7 +53,7 @@ from .bbs import (
 from .notation import parse_state, render_state, render_trajectory
 from .oracle import naive_original_step
 from .rsk import dual, inverse_rsk, make_biword, matrix_of, render_biword, rsk, transpose
-from .tableau import Tableau, render_tableau, shape, tab
+from .tableau import InvariantError, Tableau, render_tableau, shape, tab
 
 
 MAX_COLORS = 6
@@ -293,7 +295,7 @@ def _state_suite(
     for index in range(cases):
         while (case := draw(rng)) is None:
             pass
-        if check(case):
+        if _passes(check, case):
             result.passed += 1
         else:
             result.failed += 1
@@ -302,12 +304,21 @@ def _state_suite(
     return result
 
 
+def _passes(check: Callable[[object], bool], case: object) -> bool:
+    """The check's verdict on a case; an internal fault, ``InvariantError``, fails the case."""
+    try:
+        return check(case)
+    except InvariantError:
+        return False
+
+
 def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> VerifyReport:
     """Run every randomized suite (``cases`` instances each), then the fixture checks.
 
     Every fixture file is read first, so a missing one raises ``OSError``
-    before any suite runs.  The suite table is built per call so that it
-    uses the draws and checks bound in this module at that time.
+    before any suite runs.  A check that raises ``InvariantError`` fails
+    its case, and the run goes on.  The suite table is built per call so
+    that it uses the draws and checks bound in this module at that time.
     """
     if cases < 0:
         raise ValueError("case count must be nonnegative")
@@ -326,7 +337,7 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> Ver
     rng = random.Random(seed)
     report = VerifyReport([_state_suite(name, draw, check, rng, cases, seed) for name, draw, check in suites])
     for name, text in texts.items():
-        passed = FIXTURE_CHECKS[name](text)
+        passed = _passes(FIXTURE_CHECKS[name], text)
         report.suites.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))
     return report
 

@@ -23,7 +23,7 @@ from boxball.bbs import (
     state_to_biword,
 )
 from boxball.notation import parse_state, render_state, render_trajectory
-from boxball.oracle import bfs_knuth_equivalent, naive_original_step, strip_largest
+from boxball.oracle import naive_original_step
 from boxball.rsk import dual, inverse_rsk, make_biword, matrix_of, rsk, transpose
 from boxball.tableau import Tableau, knuth_equivalent, tab, word_of
 from boxball.verify import (
@@ -35,6 +35,7 @@ from boxball.verify import (
     random_state,
     trajectory_block,
 )
+from knuth_search import bfs_knuth_equivalent, strip_largest
 
 
 def report(criterion, ok):

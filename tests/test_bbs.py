@@ -482,7 +482,7 @@ def test_q_evolve_rejects_overfull_boxes():
 def test_q_evolve_raises_when_the_shape_changes(monkeypatch):
     import boxball.bbs as bbs
 
-    monkeypatch.setattr(bbs, "carrier_pass", lambda carrier, word: (tuple(sorted(word)), ()))
+    monkeypatch.setattr(bbs, "_label_pass", lambda labels, carrier: (sorted(labels), []))
     with pytest.raises(InvariantError, match="shape"):
         q_evolve(Tableau([[1, 2], [3]]), UNIT_CAPACITY)
 
@@ -501,7 +501,7 @@ def test_carrier_pass_respects_knuth_classes():
     for arbitrary carriers the statement is false, e.g. carrier (1,)
     with words 212 and 221.
     """
-    from boxball.oracle import elementary_moves
+    from knuth_search import elementary_moves
 
     rng = random.Random(31)
     checked = 0
@@ -640,12 +640,14 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
     expected = q_symbol(carrier_step(s))
     carriers = []
 
-    def spy(carrier, word):
-        carriers.append(carrier)
-        return carrier_pass(carrier, word)
+    label_pass = bbs._label_pass
+
+    def spy(labels, carrier):
+        carriers.append(tuple(carrier))
+        return label_pass(labels, carrier)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bbs, "carrier_pass", spy)
+        patch.setattr(bbs, "_label_pass", spy)
         assert q_evolve(q_symbol(s), s.capacities) == expected
     assert carriers == [vacant]
     advanced = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)

@@ -134,6 +134,19 @@ def test_non_ascii_digit_exits_2_with_its_box(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: bad token '²' in box 2\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("|1|2", "walled notation must end with '|'")],
+    ids=["unterminated-walled"],
+)
+def test_parse_error_exits_2_with_its_message(capsys, monkeypatch, text, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("default", ["２", " 2", "1_0"])
 def test_default_capacity_takes_ascii_digits_only(capsys, monkeypatch, default):
     import io
@@ -317,6 +330,31 @@ def test_verify_prints_the_first_failing_case(capsys, monkeypatch, suite):
         assert command == "evolve" and replayed == seen[case]
     rest = lines[:at] + lines[at + 2:-1]
     assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith(f"{suite}:")]
+
+
+def test_verify_reports_an_internal_fault_as_a_failing_case(capsys, monkeypatch, fixtures):
+    import boxball.bbs as bbs
+
+    # a vacant-label carrier with no label above the balls: every label pass raises InvariantError
+    vacant_labels = bbs._vacant_labels
+
+    def below(top, caps):
+        labels = vacant_labels(top, caps)
+        return (labels[0] - 1,) * len(labels)
+
+    monkeypatch.setattr(bbs, "_vacant_labels", below)
+    code, out = run_cli(capsys, "verify", "--seed", "1", "--cases", "20", "--fixtures", str(fixtures))
+    assert code == 1
+    lines = out.splitlines()
+    failing = [k for k, line in enumerate(lines) if line.endswith(" FAIL") and not line.startswith("fixture:")]
+    assert [lines[k].split(":")[0] for k in failing] == [
+        "p-conservation", "algorithm-equivalence", "box-label-evolution", "q-evolution", "q-independence",
+    ]
+    assert all(lines[k + 1].startswith("  first failure, case ") for k in failing)
+    fixture_lines = [line for line in lines if line.startswith("fixture:")]
+    assert len(fixture_lines) == len(FIXTURE_CHECKS)
+    assert sum(line.endswith(": 0/1 FAIL") for line in fixture_lines) == 9
+    assert lines[-1] == "SOME CHECKS FAILED"
 
 
 def test_verify_rejects_a_negative_case_count(capsys):

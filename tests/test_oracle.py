@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from boxball.bbs import State, carrier_step
 from boxball.notation import parse_state, render_state
-from boxball.oracle import SearchInconclusive, bfs_knuth_equivalent, naive_original_step
+from boxball.oracle import naive_original_step
 from boxball.tableau import knuth_equivalent
 from boxball.verify import random_state
+from knuth_search import SearchInconclusive, bfs_knuth_equivalent
 
 words = st.lists(st.integers(min_value=-3, max_value=4), max_size=8).map(tuple)
 

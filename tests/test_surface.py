@@ -1,4 +1,4 @@
-"""The public surface: the package's exports, and the names the benchmark reads.
+"""The public surface: the package's exports, the names the benchmark reads, and the README's sketch.
 
 ``perfbench/`` imports the package from source and reaches into it by
 name, so a cut that drops one of these breaks ``perfbench/run.py`` (with
@@ -6,6 +6,8 @@ name, so a cut that drops one of these breaks ``perfbench/run.py`` (with
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import boxball
 import boxball.cli
@@ -45,3 +47,17 @@ def test_names_the_benchmark_reads_exist():
     for name in ("tab", "Tableau", "inverse_rsk", "q_symbol", "parse_state", "evolve"):
         assert callable(getattr(boxball, name)), name
     assert callable(boxball.oracle.naive_original_step)
+
+
+def test_oracle_holds_only_the_ball_moving_reference():
+    public = {name for name, value in vars(boxball.oracle).items()
+              if not name.startswith("_") and getattr(value, "__module__", None) == "boxball.oracle"}
+    assert public == {"naive_original_step"}
+
+
+def test_the_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import boxball.bbs
-from boxball.bbs import CapacityProfile, State, carrier_step, evolve
+from boxball.bbs import CapacityProfile, State, box_label_step, carrier_step, evolve, q_evolve, q_symbol
 from boxball.notation import parse_state
 from boxball.oracle import naive_original_step
 from boxball.tableau import InvariantError
@@ -84,20 +84,34 @@ def test_a_long_run_stays_linear_after_the_hand_over():
     assert len(states) == 8001 and states[-1].ball_count == 7
 
 
+def evolve_twice(s):
+    return evolve(s, 2)
+
+
+def step_q(s):
+    return q_evolve(q_symbol(s), s.capacities)
+
+
 @pytest.mark.parametrize(
-    "defect, message",
+    "defect, message, passes",
     [
-        (lambda labels: labels[:-1], "labels, not the"),  # one vacancy too few
-        (lambda labels: (labels[0] - 1,) * len(labels), "found no vacant label"),  # none above any ball
+        (lambda labels: labels[:-1], "labels, not the", [evolve_twice]),  # one vacancy too few
+        # none above any ball: every box-label pass raises rather than wrap a ball to the left
+        (
+            lambda labels: (labels[0] - 1,) * len(labels),
+            "found no vacant label",
+            [evolve_twice, box_label_step, step_q],
+        ),
     ],
     ids=["dropped", "below"],
 )
-def test_evolve_raises_when_the_label_carrier_is_wrong(monkeypatch, defect, message):
+def test_evolve_raises_when_the_label_carrier_is_wrong(monkeypatch, defect, message, passes):
     vacant_labels = boxball.bbs._vacant_labels
     monkeypatch.setattr(boxball.bbs, "_vacant_labels", lambda top, caps: defect(vacant_labels(top, caps)))
     for text in ("234_15", "|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|"):
-        with pytest.raises(InvariantError, match=message):
-            evolve(parse_state(text), 2)
+        for run in passes:
+            with pytest.raises(InvariantError, match=message):
+                run(parse_state(text))
 
 
 def test_evolve_reads_no_more_of_a_wide_box_than_the_window(monkeypatch):
