@@ -61,7 +61,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rsk import BiWord, dual, rsk
+from .rsk import BiWord, rsk
 from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
 
 Carrier = tuple[int, ...]  # weakly increasing multiset of letters or labels
@@ -169,9 +169,10 @@ class State:
     capacities: CapacityProfile = UNIT_CAPACITY
 
     def __post_init__(self) -> None:
-        n = self.n
+        n = int(self.n)
         if n < 0:
             raise ValueError("number of colors must be nonnegative")
+        object.__setattr__(self, "n", n)
         balls: dict[int, Word] = {}
         capacity = self.capacities.capacity
         for label, colors in self.balls.items():
@@ -182,18 +183,13 @@ class State:
                 if type(c) is int and 0 < c <= n:
                     balls[label] = colors
                     continue
-            label = int(label)
-            colors = tuple(map(int, colors))
-            if len(colors) > 1:  # one ball fits any box, since every capacity is at least 1
-                colors = tuple(sorted(colors))
-                if colors[0] < 1 or colors[-1] > n:
-                    raise ValueError(f"box {label} holds a color outside 1..{n}")
-                if len(colors) > capacity(label):
-                    raise _overfull(label, len(colors), capacity(label))
-            elif not colors:
+            label, colors = int(label), tuple(sorted(map(int, colors)))
+            if not colors:
                 continue
-            elif not 1 <= colors[0] <= n:
+            if colors[0] < 1 or colors[-1] > n:
                 raise ValueError(f"box {label} holds a color outside 1..{n}")
+            if len(colors) > capacity(label):
+                raise _overfull(label, len(colors), capacity(label))
             balls[label] = colors
         object.__setattr__(self, "balls", MappingProxyType(balls))
 
@@ -268,7 +264,7 @@ def biword_to_state(bw: BiWord, capacities: CapacityProfile, n: int) -> State:
 
 def p_symbol(s: State) -> Tableau:
     """Insertion tableau of the color word; conserved by the time evolution."""
-    return tab(state_to_biword(s).bottom)
+    return tab(_columns(s)[1])
 
 
 def q_symbol(s: State) -> Tableau:
@@ -277,8 +273,9 @@ def q_symbol(s: State) -> Tableau:
 
 
 def box_label_sequence(s: State) -> LabelSequence:
-    """Labels of the occupied boxes listed per ascending ball color."""
-    return dual(state_to_biword(s)).bottom
+    """Labels of the occupied boxes listed per ascending ball color: the columns sorted by (color, label)."""
+    labels, colors = _columns(s)
+    return tuple(j for _, j in sorted(zip(colors, labels)))
 
 
 def carrier_pass(carrier: Iterable[int], word: Iterable[int]) -> tuple[Word, Carrier]:
@@ -534,16 +531,18 @@ def _trajectory(s: State) -> Iterator[State]:
 
     While the window holds at most ``_DENSE`` vacant slots per ball, a
     step is ``box_label_step``'s ``_label_pass`` with its carrier carried
-    over from the step before.  The ball colors, read in (color, label) order, never change;
-    each ball takes the least vacant label above its own and leaves its
-    own label in the carrier.  After the pass the carrier holds the vacant
-    labels of the new state over the old window; the labels of the slots
-    the window gains at its end are appended, and every label at or below
-    the new first ball is cut, since the first box packs its balls right
-    and so has no vacancy in the window.  That makes each step O(N) plus
-    the slots the window gains.  On a sparser window, at the start or once
-    the solitons spread, the rest of the run is ``carrier_step``, whose
-    cost does not depend on the window's width.
+    over from the step before.  The balls are read in (color, label)
+    order, as ``box_label_sequence`` lists their labels, and their colors,
+    ``sorted(colors)``, never change; each ball takes the least vacant
+    label above its own and leaves its own label in the carrier.  After
+    the pass the carrier holds the vacant labels of the new state over the
+    old window; the labels of the slots the window gains at its end are
+    appended, and every label at or below the new first ball is cut, since
+    the first box packs its balls right and so has no vacancy in the
+    window.  That makes each step O(N) plus the slots the window gains.
+    On a sparser window, at the start or once the solitons spread, the
+    rest of the run is ``carrier_step``, whose cost does not depend on the
+    window's width.
     """
     yield s
     count, capacities = s.ball_count, s.capacities
@@ -560,8 +559,7 @@ def _trajectory(s: State) -> Iterator[State]:
                 break
             if carrier is None:
                 carrier = list(_vacant_labels(labels, capacities))
-                pairs = sorted(zip(colors, labels))
-                colors, labels = [c for c, _ in pairs], [j for _, j in pairs]  # labels: the box-label sequence
+                labels, colors = list(box_label_sequence(s)), sorted(colors)
                 singles = list(zip(colors))  # each ball's one-ball box, shared by every state of the run
             else:
                 # the slots past the old window; those of the first box would only be cut again

@@ -132,8 +132,8 @@ def render_state(
     """Canonical text for a state.
 
     ``span`` fixes the inclusive label range shown (default: the occupied
-    range); ``empty`` picks the vacancy character for compact output;
-    ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
+    range; an inverted one raises ``ValueError``); ``empty`` picks the
+    vacancy character for compact output; ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
     at the notation's default first label).
     """
     if notation not in ("compact", "walled"):
@@ -150,6 +150,8 @@ def render_state(
             return ""
         span = (min(s.balls), max(s.balls))
     lo, hi = span
+    if lo > hi:  # no text shows an inverted span: compact would read back empty, walled not at all
+        raise ValueError(f"span ({lo}, {hi}) runs backwards")
     if notation == "compact":
         return _render_compact(s, lo, hi, empty, anchor)
     return _render_walled(s, lo, hi, anchor)

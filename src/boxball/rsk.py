@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable
 
-from .tableau import InvariantError, Tableau, _insert, shape
+from .tableau import InvariantError, Tableau, _bump, shape
 
 IntegerMatrix = dict[tuple[int, int], int]
 
@@ -63,19 +63,18 @@ def dual(bw: BiWord) -> BiWord:
 def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
     """RSK correspondence: P from bumping the bottom row, Q recording the top.
 
-    The k-th insertion of bottom[k] creates one box; Q carries top[k] in
-    that box.  Lexicographic column order makes Q column-strict, which the
-    Tableau constructor checks rather than assumes.
+    The k-th insertion of bottom[k] creates one box, at the end of row
+    ``ends[k]``; Q carries top[k] in that box.  So Q's rows are the top
+    entries grouped by that row, in order, and must have P's lengths.
+    Lexicographic column order makes Q column-strict, which the Tableau
+    constructor checks rather than assumes.
     """
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for i, j in zip(bw.top, bw.bottom):
-        r, c = _insert(p_rows, j)
-        if r > len(q_rows):
-            q_rows.append([])
-        if c != len(q_rows[r - 1]) + 1:
-            raise InvariantError(f"bumping added column {c} to row {r}, not the end of that row")
-        q_rows[r - 1].append(i)
+    p_rows, ends = _bump(bw.bottom)
+    q_rows: list[list[int]] = [[] for _ in p_rows]
+    for i, r in zip(bw.top, ends):
+        q_rows[r].append(i)
+    if list(map(len, q_rows)) != list(map(len, p_rows)):
+        raise InvariantError(f"Q's row lengths {list(map(len, q_rows))} differ from P's {list(map(len, p_rows))}")
     return Tableau(p_rows), Tableau(q_rows)
 
 

@@ -4,10 +4,11 @@ A word is a tuple of integers of any sign.  A tableau is stored row by row,
 top row first; entries weakly increase along each row and strictly
 increase down each column.  ``Tableau(rows)`` is the one constructor: it
 takes any iterable of rows of integers and checks the order.  ``tab``
-folds a word into a tableau by bumping letters in from the left (the
-private ``_insert`` bumps one letter), ``word_of`` reads the tableau back,
-bottom row first, each row left to right, and ``knuth_equivalent`` decides
-Knuth equivalence of two words by comparing their ``tab``.
+folds a word into a tableau by bumping its letters in from the left, and
+``rsk`` records where each letter's new box ended: both run the one
+private loop ``_bump``.  ``word_of`` reads the tableau back, bottom row
+first, each row left to right, and ``knuth_equivalent`` decides Knuth
+equivalence of two words by comparing their ``tab``.
 """
 
 from __future__ import annotations
@@ -68,24 +69,32 @@ class Tableau:
 EMPTY_TABLEAU = Tableau()
 
 
-def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
-    """Bump x into mutable rows; return the 1-indexed (row, column) of the new box."""
-    for r, row in enumerate(rows, 1):
-        i = bisect_right(row, x)  # leftmost entry strictly larger than x
-        if i == len(row):
-            row.append(x)
-            return r, i + 1
-        x, row[i] = row[i], x
-    rows.append([x])
-    return len(rows), 1
+def _bump(word: Word) -> tuple[list[list[int]], list[int]]:
+    """Row-insert the letters of a word in turn, from an empty tableau.
+
+    Returns the rows and, per letter k, the 0-indexed row ``ends[k]`` in
+    which letter k's new box ended: the end of that row.
+    """
+    rows: list[list[int]] = []
+    ends: list[int] = []
+    for x in word:
+        r = 0
+        for row in rows:
+            i = bisect_right(row, x)  # leftmost entry strictly larger than x
+            if i == len(row):
+                row.append(x)
+                break
+            x, row[i] = row[i], x
+            r += 1
+        else:
+            rows.append([x])
+        ends.append(r)
+    return rows, ends
 
 
 def tab(letters: Iterable[int]) -> Tableau:
     """Insertion tableau of a word: fold row insertion over the letters."""
-    rows: list[list[int]] = []
-    for x in as_word(letters):
-        _insert(rows, x)
-    return Tableau(rows)
+    return Tableau(_bump(as_word(letters))[0])
 
 
 def knuth_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:

@@ -177,6 +177,11 @@ def test_state_validation():
         State(2, {0: (1, 1)})  # capacity 1 holds two balls
     s = State(3, {5: [2, 1], 7: ()}, CapacityProfile({5: 2}))
     assert s.balls == {5: (1, 2)}  # sorted, empties dropped
+    # the color count is truncated to an int, as labels, colors and capacities are
+    s = State(2.0, {1: (1,), 2: (2,)})
+    assert slot_word(s) == (1, (1, 2, 3, 3))
+    assert {type(x) for x in slot_word(s)[1]} == {int}
+    assert type(State(True, {1: (1,)}).n) is int
 
 
 def test_values_are_hashable_and_read_only():
@@ -653,6 +658,9 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
     advanced = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
     assert advanced.top == occupied
     assert tuple(map(s.capacities.label_of_slot, advanced.top)) == state_to_biword(s).top
+    # the two symbols as defined through the state's bi-word, kept as references
+    assert p_symbol(s) == tab(state_to_biword(s).bottom)
+    assert box_label_sequence(s) == dual(state_to_biword(s)).bottom
 
 
 # ---------------------------------------------------------------------------

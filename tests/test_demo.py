@@ -25,3 +25,13 @@ def test_growth_script_prints_one_row_per_size():
         assert re.fullmatch(rf"100 {time} - {time} -", rows[0])
         assert re.fullmatch(rf"400 {time} {slope} {time} {slope}", rows[1])
         assert len(rows) == 2
+
+
+def test_loc_script_total_is_the_sum_of_its_rows():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "loc.py")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = done.stdout.splitlines()
+    assert header.split() == ["module", "code_lines"]
+    counts = dict(row.split() for row in rows)
+    assert {"bbs.py", "tableau.py", "rsk.py"} <= counts.keys()
+    assert total.split() == ["total", str(sum(map(int, counts.values())))]

@@ -152,6 +152,11 @@ def test_render_anchor_rules():
     assert render_state(s, "walled", anchor=False) == "|1|2|"
     assert parse_state(render_state(s)) == s
     assert parse_state(render_state(s, "walled")) == s
+    for notation in ("compact", "walled"):  # an inverted span has no text that reads back
+        with pytest.raises(ValueError, match=r"^span \(5, 1\) runs backwards$"):
+            render_state(s, notation, (5, 1))
+        with pytest.raises(ValueError, match="runs backwards"):
+            render_trajectory([s], notation, (5, 1))
 
 
 def test_parse_render_roundtrip_on_text():

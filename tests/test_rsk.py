@@ -66,9 +66,11 @@ def test_rsk_trivia():
 def test_rsk_raises_when_bumping_skips_a_column(monkeypatch):
     import boxball.rsk as module
 
-    monkeypatch.setattr(module, "_insert", lambda rows, x: (1, 5))
-    with pytest.raises(InvariantError, match="column 5"):
-        rsk(BiWord((1,), (1,)))
+    bump = module._bump
+    # both letters reported as ending in the top row, where P has one box per row
+    monkeypatch.setattr(module, "_bump", lambda word: (bump(word)[0], [0] * len(word)))
+    with pytest.raises(InvariantError, match=r"^Q's row lengths \[2, 0\] differ from P's \[1, 1\]$"):
+        rsk(BiWord((1, 2), (2, 1)))
 
 
 def test_package_attribute_rsk_is_the_submodule(monkeypatch):
@@ -78,9 +80,9 @@ def test_package_attribute_rsk_is_the_submodule(monkeypatch):
     import boxball.rsk as module
 
     assert isinstance(module, types.ModuleType) and boxball.rsk is module
-    patched = lambda rows, x: (1, 1)  # noqa: E731
-    monkeypatch.setattr(boxball.rsk, "_insert", patched)
-    assert module._insert is patched
+    patched = lambda word: ([], [])  # noqa: E731
+    monkeypatch.setattr(boxball.rsk, "_bump", patched)
+    assert module._bump is patched
 
 
 def test_rightmost_below():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxball.tableau import EMPTY_TABLEAU, Tableau, _insert, render_tableau, shape, tab, word_of
+from boxball.tableau import EMPTY_TABLEAU, Tableau, _bump, render_tableau, shape, tab, word_of
 
 words = st.lists(st.integers(min_value=-3, max_value=7), max_size=12).map(tuple)
 
@@ -18,15 +18,13 @@ def test_bumping_reference_word():
 
 
 def test_row_insert_into_empty():
-    rows = []
-    assert _insert(rows, 4) == (1, 1)
-    assert rows == [[4]]
+    assert _bump(()) == ([], [])
+    assert _bump((4,)) == ([[4]], [0])
 
 
 def test_row_insert_bumps_leftmost_larger():
-    rows = [[1, 3]]
-    assert _insert(rows, 2) == (2, 1)
-    assert rows == [[1, 2], [3]]
+    # 2 bumps the 3 out of the top row, whose box then ends the second row
+    assert _bump((1, 3, 2)) == ([[1, 2], [3]], [0, 0, 1])
 
 
 def test_tab_trivia():
@@ -66,9 +64,9 @@ def test_letters_of_any_sign():
     t = Tableau(((-1, 0), (2,)))
     assert word_of(t) == (2, -1, 0)
     assert tab(word_of(t)) == t
-    rows = [list(row) for row in t]
-    assert _insert(rows, -5) == (3, 1)
+    rows, ends = _bump(word_of(t) + (-5,))
     assert Tableau(rows) == Tableau([[-5, 0], [-1], [2]])
+    assert ends[-1] == 2
 
 
 @given(words)
@@ -79,16 +77,16 @@ def test_tab_word_roundtrip(w):
     assert Counter(word_of(t)) == Counter(w)
 
 
-@given(words, st.integers(min_value=-3, max_value=7))
-def test_row_insert_grows_by_one_box(w, x):
-    t = tab(w)
-    rows = [list(row) for row in t]
-    r, c = _insert(rows, x)
-    grown = Tableau(rows)
-    assert len(grown) == len(t) + 1
-    assert grown.rows[r - 1][c - 1] in (x, *w)
-    lengths = dict(enumerate(shape(t), start=1))
-    assert len(grown.rows[r - 1]) == lengths.get(r, 0) + 1
+@given(words)
+def test_row_insert_grows_by_one_box(w):
+    """``_bump`` gives ``tab``'s rows, and ``ends[k]`` is the row that grew when letter k went in."""
+    rows, ends = _bump(w)
+    assert rows == [list(row) for row in tab(w).rows]
+    assert len(ends) == len(w)
+    for k, r in enumerate(ends):
+        lengths = [*shape(tab(w[:k])), 0]
+        lengths[r] += 1
+        assert tuple(filter(None, lengths)) == shape(tab(w[:k + 1]))
 
 
 def test_text_roundtrip():
