@@ -4,7 +4,8 @@ A bi-word is a pair of equal-length integer rows whose columns sit in
 lexicographic order (top weakly increasing, bottom weakly increasing
 within each run of equal top entries).  ``rsk`` sends a bi-word to its
 insertion tableau P and recording tableau Q; ``inverse_rsk`` is the exact
-inverse.  Entries on both rows may be any integers, of either sign.
+inverse, defined on every pair of tableaux of one shape.  Entries on both
+rows may be any integers, of either sign.
 """
 
 from __future__ import annotations
@@ -82,8 +83,19 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
     """Reverse RSK: recover the bi-word that produced (p, q).
 
     Boxes are removed in decreasing order of their Q entry; among equal
-    entries the rightmost column goes first (equal entries never share a
-    column).  Each removal reverse-bumps a letter up and out of P.
+    entries the rightmost column goes first.  Each removal pops the
+    letter at the end of that box's row of P and reverse-bumps it up
+    through the rows above: in each row it displaces the rightmost entry
+    strictly smaller than itself.  The Q entry and the letter pushed out
+    of the top row make one column of the bi-word, top over bottom.
+
+    Only a shape mismatch can fail.  Q is column-strict, so equal entries
+    never share a column and the rightmost box holding Q's largest entry
+    is a corner.  P is column-strict, so each row above holds an entry
+    smaller than the rising letter, at or right of its column, and the
+    index ``j`` below is never negative.  By Knuth's theorem every pair
+    of tableaux of one shape comes from exactly one bi-word, so the
+    columns come out in lexicographic order; ``BiWord`` still checks.
     """
     if shape(p) != shape(q):
         raise ValueError(f"shape mismatch: {shape(p)} vs {shape(q)}")
@@ -91,30 +103,14 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
     order = sorted((v, c, r) for r, row in enumerate(q.rows) for c, v in enumerate(row))
     top: list[int] = []
     bottom: list[int] = []
-    for v, c, r in reversed(order):
-        if c != len(p_rows[r]) - 1 or (r + 1 < len(p_rows) and len(p_rows[r + 1]) > c):
-            raise ValueError(f"recording tableau entry {v} does not sit at a removable corner")
+    for v, _, r in reversed(order):
         x = p_rows[r].pop()
-        if not p_rows[r]:
-            p_rows.pop()
-        for k in range(r - 1, -1, -1):
-            row = p_rows[k]
-            j = _rightmost_below(row, x)
+        for row in reversed(p_rows[:r]):
+            j = bisect_left(row, x) - 1  # rightmost entry strictly smaller than x
             x, row[j] = row[j], x
         top.append(v)
         bottom.append(x)
-    try:
-        return BiWord(top[::-1], bottom[::-1])
-    except ValueError:
-        raise ValueError("recording tableau is not consistent with any bi-word") from None
-
-
-def _rightmost_below(row: list[int], x: int) -> int:
-    """Index of the rightmost entry strictly smaller than x in a sorted row."""
-    j = bisect_left(row, x) - 1
-    if j < 0:
-        raise ValueError("reverse bumping found no smaller entry; tableau pair is inconsistent")
-    return j
+    return BiWord(top[::-1], bottom[::-1])
 
 
 def matrix_of(bw: BiWord) -> IntegerMatrix:

@@ -1,4 +1,5 @@
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,21 @@ def test_loc_script_total_is_the_sum_of_its_rows():
     counts = dict(row.split() for row in rows)
     assert {"bbs.py", "tableau.py", "rsk.py"} <= counts.keys()
     assert total.split() == ["total", str(sum(map(int, counts.values())))]
+
+
+def test_unrun_script_selects_statements_and_entry_points(tmp_path):
+    statements = runpy.run_path(str(SCRIPTS / "unrun.py"))["statements"]
+    module = tmp_path / "__main__.py"
+    module.write_text(
+        '"""Doc."""\n'
+        "import sys\n"
+        "def f():\n"
+        '    """Doc."""\n'
+        "    return 1\n"
+        "sys.exit(f())\n"
+        'if __name__ == "__main__":\n'
+        "    f()\n"
+    )
+    assert statements(module) == {5: False, 6: True, 7: False, 8: True}
+    module = module.rename(tmp_path / "cli.py")
+    assert statements(module) == {5: False, 6: False, 7: False, 8: True}

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from boxball.rsk import (
     BiWord,
     EMPTY_BIWORD,
-    _rightmost_below,
     dual,
     inverse_rsk,
     make_biword,
@@ -20,6 +19,29 @@ columns = st.lists(
     max_size=10,
 )
 biwords = columns.map(make_biword)
+partitions = st.lists(st.integers(min_value=1, max_value=5), max_size=4).map(
+    lambda parts: sorted(parts, reverse=True)
+)
+
+
+@st.composite
+def tableau_pairs(draw):
+    """Two column-strict fillings of one partition, drawn independently."""
+    lam = draw(partitions)
+
+    def filling():
+        rows: list[list[int]] = []
+        for r, length in enumerate(lam):
+            row: list[int] = []
+            for c in range(length):
+                left = row[-1] if row else -3
+                above = rows[r - 1][c] + 1 if r else -3
+                row.append(max(left, above) + draw(st.integers(min_value=0, max_value=2)))
+            rows.append(row)
+        return Tableau(rows)
+
+    return filling(), filling()
+
 
 REFERENCE = make_biword([(1, 3), (2, 1), (2, 5), (4, 2), (5, 2), (7, 1)])
 
@@ -85,14 +107,6 @@ def test_package_attribute_rsk_is_the_submodule(monkeypatch):
     assert module._bump is patched
 
 
-def test_rightmost_below():
-    row = [1, 3, 3, 5]
-    assert [_rightmost_below(row, x) for x in (2, 3, 4, 5, 6)] == [0, 0, 2, 2, 3]
-    for x in (0, 1):
-        with pytest.raises(ValueError, match="no smaller entry"):
-            _rightmost_below(row, x)
-
-
 def test_inverse_rsk_reference():
     p = Tableau([[1, 1, 2], [2, 5], [3]])
     q = Tableau([[1, 2, 5], [2, 4], [7]])
@@ -101,7 +115,7 @@ def test_inverse_rsk_reference():
 
 
 def test_inverse_rsk_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(1, 1\)$"):
         inverse_rsk(Tableau([[1, 2]]), Tableau([[1], [2]]))
     # a recording filling that breaks column-strictness never gets built
     with pytest.raises(ValueError):
@@ -123,6 +137,12 @@ def test_rsk_roundtrip(bw):
     assert len(p) == len(bw)
     assert p == tab(bw.bottom)
     assert inverse_rsk(p, q) == bw
+
+
+@given(tableau_pairs())
+def test_every_pair_of_one_shape_inverts(pair):
+    p, q = pair
+    assert rsk(inverse_rsk(p, q)) == (p, q)
 
 
 @given(biwords)

@@ -93,4 +93,6 @@ def test_text_roundtrip():
     t = Tableau([[1, 1, 2], [2, 5], [3]])
     text = render_tableau(t)
     assert text == "1 1 2\n2 5\n3"
+    assert str(t) == text
+    assert list(t) == list(t.rows)
     assert render_tableau(EMPTY_TABLEAU) == ""
