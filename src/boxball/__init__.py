@@ -34,7 +34,6 @@ from .bbs import (
 from .notation import StateParseError, parse_state, render_state, render_trajectory
 from .rsk import (
     BiWord,
-    EMPTY_BIWORD,
     dual,
     inverse_rsk,
     make_biword,
@@ -43,7 +42,6 @@ from .rsk import (
     transpose,
 )
 from .tableau import (
-    EMPTY_TABLEAU,
     InvariantError,
     Shape,
     Tableau,
@@ -60,8 +58,6 @@ __all__ = [
     "BiWord",
     "CapacityProfile",
     "Carrier",
-    "EMPTY_BIWORD",
-    "EMPTY_TABLEAU",
     "InvariantError",
     "LabelSequence",
     "Shape",

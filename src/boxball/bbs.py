@@ -61,7 +61,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rsk import BiWord, rsk
+from .rsk import BiWord
 from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
 
 Carrier = tuple[int, ...]  # weakly increasing multiset of letters or labels
@@ -268,8 +268,13 @@ def p_symbol(s: State) -> Tableau:
 
 
 def q_symbol(s: State) -> Tableau:
-    """Recording tableau; carries the box labels and evolves autonomously."""
-    return rsk(state_to_biword(s))[1]
+    """Recording tableau; carries the box labels and evolves autonomously.
+
+    The box-label sequence is the bottom row of the dual bi-word, and by
+    Knuth's symmetry theorem the recording tableau of a bi-word is the
+    insertion tableau of its dual's bottom row.
+    """
+    return tab(box_label_sequence(s))
 
 
 def box_label_sequence(s: State) -> LabelSequence:

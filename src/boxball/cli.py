@@ -2,8 +2,8 @@
 
 Subcommands: ``evolve`` (print a trajectory), ``rsk`` (bi-word, dual, and
 both tableaux of a state), ``qsymbol`` (recording-tableau trajectory),
-``dual`` (dual bi-word), ``trace`` (carrier pass step by step), and
-``verify`` (randomized invariant suites plus optional golden fixtures).
+``trace`` (carrier pass step by step), and ``verify`` (randomized
+invariant suites plus optional golden fixtures).
 
 States are read from a file or standard input in either notation; see
 ``notation``.  All output is plain text so runs diff cleanly against
@@ -82,11 +82,6 @@ def cmd_rsk(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
-    _emit(args, [render_biword(dual(state_to_biword(_load_state(args))))])
-    return 0
-
-
 def cmd_qsymbol(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -160,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rsk", help="print the bi-word, its dual, and the tableau pair")
     add_state_args(p)
 
-    p = sub.add_parser("dual", help="print the dual bi-word")
-    add_state_args(p)
-
     p = sub.add_parser("qsymbol", help="print the recording-tableau trajectory")
     add_state_args(p)
     p.add_argument("--steps", type=int, default=1)
@@ -182,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "evolve": cmd_evolve,
     "rsk": cmd_rsk,
-    "dual": cmd_dual,
     "qsymbol": cmd_qsymbol,
     "trace": cmd_trace,
     "verify": cmd_verify,

@@ -43,12 +43,6 @@ class BiWord:
     def __len__(self) -> int:
         return len(self.top)
 
-    def columns(self) -> list[tuple[int, int]]:
-        return list(zip(self.top, self.bottom))
-
-
-EMPTY_BIWORD = BiWord()
-
 
 def make_biword(columns: Iterable[tuple[int, int]]) -> BiWord:
     """Sort (top, bottom) pairs lexicographically into a bi-word."""

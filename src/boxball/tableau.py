@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le, lt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Word = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -58,15 +58,6 @@ class Tableau:
 
     def __len__(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.rows)
-
-    def __str__(self) -> str:
-        return render_tableau(self)
-
-
-EMPTY_TABLEAU = Tableau()
 
 
 def _bump(word: Word) -> tuple[list[list[int]], list[int]]:

@@ -31,12 +31,13 @@ from boxball.bbs import (
     state_to_biword,
 )
 from boxball.oracle import naive_original_step
-from boxball.rsk import dual
+from boxball.rsk import dual, rsk
 from boxball.tableau import InvariantError, Tableau, knuth_equivalent, shape, tab, word_of
 from boxball.verify import (
     check_box_label,
     check_carrier_knuth,
     check_reduction_commutes,
+    large_state,
     random_state,
 )
 
@@ -227,6 +228,15 @@ def test_biword_to_state_roundtrip():
 def test_box_label_sequence_reference():
     assert box_label_sequence(SMALL) == (5, 1, 2, 3, 6)
     assert box_label_sequence(WIDE) == (2, 5, 2, 5, 4, 3, 6, 1, 2, 6)
+
+
+def test_q_symbol_is_the_recording_tableau_of_the_state_biword():
+    """Q read off the dual word equals the recording tableau that rsk builds (Knuth's symmetry)."""
+    rng = random.Random(3)
+    states = [random_state(rng) for _ in range(500)]
+    states += [large_state(rng, balls, generalized) for balls in (100, 400) for generalized in (False, True)]
+    for s in states:
+        assert q_symbol(s) == rsk(state_to_biword(s))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +586,7 @@ def test_slot_word_packs_vacancies_left():
     assert slot_word(SMALL) == (1, (2, 3, 4, 6, 1, 5) + (6,) * 5)
     # the occupied (slot, color) pairs, ascending, as the advanced bi-word's columns
     advanced = reduce_generalized_to_advanced(state_to_biword(SMALL), UNIT_CAPACITY)
-    assert advanced.columns() == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
+    assert list(zip(advanced.top, advanced.bottom)) == [(1, 2), (2, 3), (3, 4), (5, 1), (6, 5)]
 
 
 def test_vacant_labels_reference():

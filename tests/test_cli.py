@@ -48,14 +48,6 @@ def test_rsk_output_shows_biword_and_dual(capsys, tmp_path):
     )
 
 
-def test_dual_command(capsys, tmp_path):
-    src = tmp_path / "state.txt"
-    src.write_text("@1 234_15\n")
-    code, out = run_cli(capsys, "dual", str(src))
-    assert code == 0
-    assert out == "1 2 3 4 5\n5 1 2 3 6\n"
-
-
 def test_qsymbol_trajectory(capsys, fixtures):
     code, out = run_cli(capsys, "qsymbol", str(fixtures / "sec6_input.txt"), "--steps", "2")
     assert code == 0

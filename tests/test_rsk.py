@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from boxball.rsk import (
     BiWord,
-    EMPTY_BIWORD,
     dual,
     inverse_rsk,
     make_biword,
@@ -12,7 +11,7 @@ from boxball.rsk import (
     rsk,
     transpose,
 )
-from boxball.tableau import EMPTY_TABLEAU, InvariantError, Tableau, shape, tab
+from boxball.tableau import InvariantError, Tableau, shape, tab
 
 columns = st.lists(
     st.tuples(st.integers(min_value=-3, max_value=6), st.integers(min_value=-3, max_value=6)),
@@ -49,7 +48,7 @@ REFERENCE = make_biword([(1, 3), (2, 1), (2, 5), (4, 2), (5, 2), (7, 1)])
 def test_make_biword_sorts_columns():
     assert REFERENCE.top == (1, 2, 2, 4, 5, 7)
     assert REFERENCE.bottom == (3, 1, 5, 2, 2, 1)
-    assert make_biword([]) == EMPTY_BIWORD
+    assert make_biword([]) == BiWord()
     assert make_biword([(2, 5), (2, 1)]) == BiWord((2, 2), (1, 5))
 
 
@@ -66,7 +65,7 @@ def test_dual_reference():
     d = dual(REFERENCE)
     assert d.top == (1, 1, 2, 2, 3, 5)
     assert d.bottom == (2, 7, 4, 5, 1, 2)
-    assert dual(EMPTY_BIWORD) == EMPTY_BIWORD
+    assert dual(BiWord()) == BiWord()
     d2 = dual(BiWord((1, 2, 3, 5, 6), (2, 3, 4, 1, 5)))
     assert d2 == BiWord((1, 2, 3, 4, 5), (5, 1, 2, 3, 6))
 
@@ -79,7 +78,7 @@ def test_rsk_reference_pair():
 
 
 def test_rsk_trivia():
-    assert rsk(EMPTY_BIWORD) == (EMPTY_TABLEAU, EMPTY_TABLEAU)
+    assert rsk(BiWord()) == (Tableau(), Tableau())
     p, q = rsk(BiWord((1, 2, 3, 5, 6), (2, 3, 4, 1, 5)))
     assert p == Tableau([[1, 3, 4, 5], [2]])
     assert q == Tableau([[1, 2, 3, 6], [5]])
@@ -111,7 +110,7 @@ def test_inverse_rsk_reference():
     p = Tableau([[1, 1, 2], [2, 5], [3]])
     q = Tableau([[1, 2, 5], [2, 4], [7]])
     assert inverse_rsk(p, q) == REFERENCE
-    assert inverse_rsk(EMPTY_TABLEAU, EMPTY_TABLEAU) == EMPTY_BIWORD
+    assert inverse_rsk(Tableau(), Tableau()) == BiWord()
 
 
 def test_inverse_rsk_rejects_bad_input():
@@ -126,7 +125,7 @@ def test_matrix_reference():
     assert matrix_of(REFERENCE) == {
         (1, 3): 1, (2, 1): 1, (2, 5): 1, (4, 2): 1, (5, 2): 1, (7, 1): 1,
     }
-    assert matrix_of(EMPTY_BIWORD) == {}
+    assert matrix_of(BiWord()) == {}
     assert matrix_of(BiWord((2, 2), (5, 5))) == {(2, 5): 2}
 
 

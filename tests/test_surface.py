@@ -7,6 +7,7 @@ name, so a cut that drops one of these breaks ``perfbench/run.py`` (with
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import boxball
@@ -16,7 +17,7 @@ import boxball.tableau
 import boxball.verify
 
 EXPORTS = [
-    "BiWord", "CapacityProfile", "Carrier", "EMPTY_BIWORD", "EMPTY_TABLEAU", "InvariantError",
+    "BiWord", "CapacityProfile", "Carrier", "InvariantError",
     "LabelSequence", "Shape", "State", "StateParseError", "Tableau", "UNIT_CAPACITY", "Word",
     "as_word", "biword_to_state", "box_label_sequence", "box_label_step", "carrier_pass",
     "carrier_step", "dual", "evolve", "inverse_rsk", "knuth_equivalent", "label_carrier",
@@ -61,3 +62,19 @@ def test_the_readme_library_sketch_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_the_readme_names_only_real_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(boxball .*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    parser = boxball.cli.build_parser()
+    for line in blocks[0].splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "boxball", line
+        parser.parse_args(argv)  # an unknown command or option exits 2
+
+
+def test_the_cli_docstring_names_exactly_the_commands():
+    listing = boxball.cli.__doc__.partition("Subcommands:")[2].partition("\n\n")[0]
+    assert re.findall(r"``(\w+)``", listing) == list(boxball.cli.COMMANDS)

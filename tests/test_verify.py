@@ -10,7 +10,7 @@ import pytest
 import boxball.verify as verify
 from boxball.bbs import carrier_pass
 from boxball.notation import parse_state
-from boxball.rsk import EMPTY_BIWORD, make_biword
+from boxball.rsk import BiWord, make_biword
 
 STATE = parse_state("234_15")
 BIWORD = make_biword([(1, 2), (2, 1), (2, 3)])  # P and Q differ, so swapping them shows
@@ -25,7 +25,7 @@ def drop_final_carrier(carrier, word):
     [
         (verify.check_box_label, STATE, "carrier_step", lambda s: s),  # a step that moves no ball
         (verify.check_carrier_knuth, STATE, "carrier_pass", drop_final_carrier),
-        (verify.check_rsk_roundtrip, BIWORD, "inverse_rsk", lambda p, q: EMPTY_BIWORD),
+        (verify.check_rsk_roundtrip, BIWORD, "inverse_rsk", lambda p, q: BiWord()),
         (verify.check_rsk_roundtrip, BIWORD, "dual", lambda bw: bw),  # so rsk of the dual is (P, Q), not (Q, P)
     ],
     ids=["box-label", "carrier-knuth-slots", "rsk-inverse", "rsk-dual"],
