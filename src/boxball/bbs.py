@@ -445,7 +445,8 @@ def _vacant_labels(top: Sequence[int], capacities: CapacityProfile) -> Carrier:
     room[0] = 0  # the window starts at the first ball, past the first box's vacancies
     if max(room) == 1:  # single vacancies: the box holding q is empty, so it has capacity 1 and ends at q
         return tuple(compress(range(first, stop), room))
-    # q cuts its box, which may be far wider than the window
+    # q cuts its box, which may be far wider than the window, even past what ``repeat`` can count
+    room[-1] = min(room[-1], vacancies)
     return tuple(islice(chain.from_iterable(map(repeat, range(first, stop), room)), vacancies))
 
 

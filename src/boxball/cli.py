@@ -6,8 +6,11 @@ both tableaux of a state), ``qsymbol`` (recording-tableau trajectory),
 invariant suites plus optional golden fixtures).
 
 States are read from a file or standard input in either notation; see
-``notation``.  All output is plain text so runs diff cleanly against
-golden files.
+``notation``.  Each subcommand returns its exit status and its lines, and
+``main`` prints them to standard output, as plain text so runs diff
+cleanly against golden files; redirect it to save a report.  A bad input,
+an unreadable file or a failing write exits 2 with one ``error:`` line on
+standard error, and so does output too large to build.
 """
 
 from __future__ import annotations
@@ -56,33 +59,21 @@ def _load_state(args: argparse.Namespace):
     return parse_state(first, args.colors)
 
 
-def _emit(args: argparse.Namespace, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> tuple[int, list[str]]:
     s = _load_state(args)
-    states = evolve(s, args.steps)
     notation = args.notation or ("compact" if s.capacities.is_unit else "walled")
-    _emit(args, render_trajectory(states, notation, args.span, args.empty))
-    return 0
+    return 0, render_trajectory(evolve(s, args.steps), notation, args.span, args.empty)
 
 
-def cmd_rsk(args: argparse.Namespace) -> int:
+def cmd_rsk(args: argparse.Namespace) -> tuple[int, list[str]]:
     s = _load_state(args)
     bw = state_to_biword(s)
     p, q = rsk(bw)
     lines = ["biword:", render_biword(bw), "dual:", render_biword(dual(bw))]
-    lines += ["P:", render_tableau(p), "Q:", render_tableau(q)]
-    _emit(args, lines)
-    return 0
+    return 0, lines + ["P:", render_tableau(p), "Q:", render_tableau(q)]
 
 
-def cmd_qsymbol(args: argparse.Namespace) -> int:
+def cmd_qsymbol(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.steps < 0:
         raise ValueError("step count must be nonnegative")
     s = _load_state(args)
@@ -92,15 +83,13 @@ def cmd_qsymbol(args: argparse.Namespace) -> int:
         lines += [f"t={t}", render_tableau(q), ""]
         if t < args.steps:
             q = q_evolve(q, s.capacities)
-    _emit(args, lines[:-1])
-    return 0
+    return 0, lines[:-1]
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> tuple[int, list[str]]:
     s = _load_state(args)
     if s.is_empty():
-        _emit(args, ["(empty state: nothing to trace)"])
-        return 0
+        return 0, ["(empty state: nothing to trace)"]
     if args.mode == "labels":
         carrier = label_carrier(s)
         word = box_label_sequence(s)
@@ -119,15 +108,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if k < len(word):
             out, carrier = carrier_pass(carrier, (word[k],))
             emitted.extend(out)
-    _emit(args, lines)
-    return 0
+    return 0, lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    fixtures = Path(args.fixtures) if args.fixtures else None
-    report = run_verification(args.seed, args.cases, fixtures)
-    _emit(args, report.lines())
-    return 0 if report.ok else 1
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
+    ok, lines = run_verification(args.seed, args.cases, Path(args.fixtures) if args.fixtures else None)
+    return 0 if ok else 1, lines
 
 
 @functools.cache
@@ -143,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_state_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", nargs="?", default="-", help="state file, or - for stdin")
         p.add_argument("--colors", type=int, default=None, help="number of ball colors")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("evolve", help="print a trajectory, one state line per time step")
     add_state_args(p)
@@ -167,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--fixtures", default=None, help="directory of golden fixture files")
-    p.add_argument("--output", default=None)
     return parser
 
 
@@ -183,9 +167,13 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
+        code, lines = COMMANDS[args.command](args)
+        sys.stdout.write("\n".join(lines) + "\n")
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as err:  # a list or string past the memory or index range
+        print(f"error: output too large to build ({type(err).__name__})", file=sys.stderr)
         return 2
     return code
 

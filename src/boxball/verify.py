@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable
@@ -267,20 +267,6 @@ def _replay_command(case: State | BiWord) -> str:
     return f"echo '{text}' | boxball {command} --colors {case.n}"
 
 
-@dataclass
-class VerifyReport:
-    suites: list[SuiteResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.suites)
-
-    def lines(self) -> list[str]:
-        out = [line for r in self.suites for line in r.lines()]
-        out.append("all checks passed" if self.ok else "SOME CHECKS FAILED")
-        return out
-
-
 # perfbench/tracing.py tags the spans of this function, by name, with its
 # first argument: keep both so per-suite times stay attributed.
 def _state_suite(
@@ -312,8 +298,11 @@ def _passes(check: Callable[[object], bool], case: object) -> bool:
         return False
 
 
-def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> VerifyReport:
+def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> tuple[bool, list[str]]:
     """Run every randomized suite (``cases`` instances each), then the fixture checks.
+
+    Returns whether every check passed, and the report: the lines of each
+    suite, then a closing verdict line.
 
     Every fixture file is read first, so a missing one raises ``OSError``
     before any suite runs.  A check that raises ``InvariantError`` fails
@@ -335,11 +324,13 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> Ver
         ("q-independence", q_independence_draw, check_q_independence),
     ]
     rng = random.Random(seed)
-    report = VerifyReport([_state_suite(name, draw, check, rng, cases, seed) for name, draw, check in suites])
+    results = [_state_suite(name, draw, check, rng, cases, seed) for name, draw, check in suites]
     for name, text in texts.items():
         passed = _passes(FIXTURE_CHECKS[name], text)
-        report.suites.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))
-    return report
+        results.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))
+    ok = all(r.ok for r in results)
+    lines = [line for r in results for line in r.lines()]
+    return ok, lines + ["all checks passed" if ok else "SOME CHECKS FAILED"]
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,13 @@ def test_the_vacant_carrier_takes_no_more_of_a_wide_box_than_the_window(default)
     assert peak < 1 << 20
 
 
+def test_a_box_wider_than_an_index_cuts_the_carrier_like_any_wide_box():
+    """``|1|+10^20``: the box past the ball holds more vacancies than ``repeat`` can count (2^63 - 1)."""
+    huge, wide = (State(1, {1: (1,)}, CapacityProfile({1: 1}, default)) for default in (10**20, 5))
+    assert label_carrier(huge) == label_carrier(wide) == (2,)
+    assert q_evolve(q_symbol(huge), huge.capacities) == q_evolve(q_symbol(wide), wide.capacities)
+
+
 def _slot_by_slot(s):
     """Occupied slots, window slot labels and vacant labels, one slot at a time.
 

@@ -152,13 +152,56 @@ def test_missing_file_is_reported(capsys):
     assert main(["rsk", "/nonexistent/state.txt"]) == 2
 
 
-def test_output_file(capsys, tmp_path):
-    src = tmp_path / "state.txt"
-    src.write_text("1__\n")
-    dst = tmp_path / "out.txt"
-    code = main(["evolve", str(src), "--steps", "1", "--output", str(dst)])
-    assert code == 0
-    assert dst.read_text() == "1_\n_1\n"
+def test_a_failing_stdout_write_exits_2(capsys, monkeypatch):
+    import io
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("1__\n"))
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [("1", ["evolve", "--span=0:100000000000000000000"]), ("|1|+100000000000000000000", ["evolve"])],
+    ids=["compact-span", "walled-box"],
+)
+def test_output_past_the_index_range_exits_2(capsys, monkeypatch, text, argv):
+    """Each line would need more than 2^63 tokens, so building it raises before it allocates."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: output too large to build (OverflowError)\n")
+
+
+def test_output_past_the_memory_exits_2(capsys, monkeypatch):
+    import io
+
+    import boxball.notation as notation
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(notation, "_render_walled", out_of_memory)
+    monkeypatch.setattr("sys.stdin", io.StringIO("|1|+1000000000000000000"))
+    assert main(["evolve"]) == 2
+    assert capsys.readouterr() == ("", "error: output too large to build (MemoryError)\n")
+
+
+@pytest.mark.parametrize("argv", [["qsymbol", "--steps", "2"], ["trace"]])
+def test_a_box_wider_than_an_index_prints_like_a_wide_box(capsys, monkeypatch, argv):
+    import io
+
+    outs = []
+    for default in ("100000000000000000000", "5"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"|1|+{default}"))
+        outs.append(run_cli(capsys, *argv))
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_stdin_input(capsys, monkeypatch):
