@@ -6,11 +6,13 @@ both tableaux of a state), ``qsymbol`` (recording-tableau trajectory),
 invariant suites plus optional golden fixtures).
 
 States are read from a file or standard input in either notation; see
-``notation``.  Each subcommand returns its exit status and its lines, and
-``main`` prints them to standard output, as plain text so runs diff
-cleanly against golden files; redirect it to save a report.  A bad input,
-an unreadable file or a failing write exits 2 with one ``error:`` line on
-standard error, and so does output too large to build.
+``notation``.  ``evolve`` prints compact text for a state whose every
+capacity is 1 and walled text otherwise.  Each subcommand returns its
+exit status and its lines, and ``main`` prints them to standard output,
+as plain text so runs diff cleanly against golden files; redirect it to
+save a report.  A bad input, an unreadable file or a failing write exits
+2 with one ``error:`` line on standard error, and so does output too
+large to build.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from .tableau import render_tableau
 from .verify import run_verification
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
 def _parse_span(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
@@ -53,20 +49,18 @@ def _parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_state(args: argparse.Namespace):
-    text = _read_input(args.input)
+def _load_state(path: str, colors: int | None = None):
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     first = next((line for line in text.splitlines() if line.strip()), "")
-    return parse_state(first, args.colors)
+    return parse_state(first, colors)
 
 
 def cmd_evolve(args: argparse.Namespace) -> tuple[int, list[str]]:
-    s = _load_state(args)
-    notation = args.notation or ("compact" if s.capacities.is_unit else "walled")
-    return 0, render_trajectory(evolve(s, args.steps), notation, args.span, args.empty)
+    return 0, render_trajectory(evolve(_load_state(args.input, args.colors), args.steps), span=args.span)
 
 
 def cmd_rsk(args: argparse.Namespace) -> tuple[int, list[str]]:
-    s = _load_state(args)
+    s = _load_state(args.input)
     bw = state_to_biword(s)
     p, q = rsk(bw)
     lines = ["biword:", render_biword(bw), "dual:", render_biword(dual(bw))]
@@ -76,7 +70,7 @@ def cmd_rsk(args: argparse.Namespace) -> tuple[int, list[str]]:
 def cmd_qsymbol(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.steps < 0:
         raise ValueError("step count must be nonnegative")
-    s = _load_state(args)
+    s = _load_state(args.input)
     q = q_symbol(s)
     lines = []
     for t in range(args.steps + 1):
@@ -87,7 +81,7 @@ def cmd_qsymbol(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_trace(args: argparse.Namespace) -> tuple[int, list[str]]:
-    s = _load_state(args)
+    s = _load_state(args.input)
     if s.is_empty():
         return 0, ["(empty state: nothing to trace)"]
     if args.mode == "labels":
@@ -128,14 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_state_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", nargs="?", default="-", help="state file, or - for stdin")
-        p.add_argument("--colors", type=int, default=None, help="number of ball colors")
 
     p = sub.add_parser("evolve", help="print a trajectory, one state line per time step")
     add_state_args(p)
+    p.add_argument("--colors", type=int, default=None, help="number of ball colors; above 9, tokens are spaced")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--notation", choices=["compact", "walled"], default=None)
     p.add_argument("--span", type=_parse_span, default=None, help="label range LO:HI to show")
-    p.add_argument("--empty-char", dest="empty", default="_", choices=["_", "e"])
 
     p = sub.add_parser("rsk", help="print the bi-word, its dual, and the tableau pair")
     add_state_args(p)

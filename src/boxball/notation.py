@@ -124,21 +124,26 @@ def _token_color(tok: str, k: int) -> int:
 
 def render_state(
     s: State,
-    notation: str = "compact",
+    notation: str | None = None,
     span: tuple[int, int] | None = None,
     empty: str = "_",
     anchor: bool = True,
 ) -> str:
     """Canonical text for a state.
 
+    ``notation`` is ``"compact"``, ``"walled"``, or ``None`` (the default)
+    for compact exactly when every capacity is 1 and walled otherwise;
+    an explicit ``"compact"`` on any other state raises ``ValueError``.
     ``span`` fixes the inclusive label range shown (default: the occupied
     range; an inverted one raises ``ValueError``); ``empty`` picks the
     vacancy character for compact output; ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
     at the notation's default first label).
     """
-    if notation not in ("compact", "walled"):
-        raise ValueError(f"unknown notation {notation!r}")
     caps = s.capacities
+    if notation is None:
+        notation = "compact" if caps.is_unit else "walled"
+    elif notation not in ("compact", "walled"):
+        raise ValueError(f"unknown notation {notation!r}")
     if notation == "compact" and not caps.is_unit:  # checked before the empty shortcut, so no state skips it
         if caps.default != 1:
             which = f"the default capacity is {caps.default}"
@@ -170,30 +175,37 @@ def _render_compact(s: State, lo: int, hi: int, empty: str, anchor: bool) -> str
 
 
 def _render_walled(s: State, lo: int, hi: int, anchor: bool) -> str:
-    wide = s.n > 9
-    parts = []
-    for j in range(lo, hi + 1):
+    caps = s.capacities
+    sep = " " if s.n > 9 else ""
+    boxes = {j for j in chain(caps.explicit, s.balls) if lo <= j <= hi}
+    # the line is sized up front, so a span too wide to build raises before it fills memory;
+    # an empty default box is built only when the span shows one
+    blank = sep.join(["e"] * caps.default) if len(boxes) <= hi - lo else ""
+    parts = [blank] * (hi - lo + 1)
+    for j in boxes:
         colors = s.balls.get(j, ())
-        cap = s.capacities.capacity(j)
-        pad = ["e"] * (cap - len(colors))
-        tokens = pad + [str(c) for c in colors]
-        parts.append((" " if wide else "").join(tokens))
+        parts[j - lo] = sep.join(["e"] * (caps.capacity(j) - len(colors)) + [str(c) for c in colors])
     body = "|" + "|".join(parts) + "|"
-    if wide and " " not in body:  # one token per box: a space marks the token mode
+    if sep and " " not in body:  # one token per box: a space marks the token mode
         body = "| " + body[1:]
-    if s.capacities.default != 1:
-        body += f"+{s.capacities.default}"
+    if caps.default != 1:
+        body += f"+{caps.default}"
     return body if lo == 1 or not anchor else f"@{lo}{body}"
 
 
 def render_trajectory(
     states: list[State],
-    notation: str = "compact",
+    notation: str | None = None,
     span: tuple[int, int] | None = None,
     empty: str = "_",
     anchor: bool = True,
 ) -> list[str]:
-    """Render states over a common label range (default: the union occupied range)."""
+    """Render states over a common label range (default: the union occupied range).
+
+    Each state's notation is ``notation``, or with ``None`` (the default)
+    the one ``render_state`` picks for it: compact on unit capacities,
+    walled otherwise.
+    """
     if span is None:
         occupied = [j for s in states for j in s.balls]
         if occupied:  # else each state is empty and render_state gives "" after its checks

@@ -255,16 +255,18 @@ def _replay_command(case: State | BiWord) -> str:
 
     A bi-word becomes the state holding its columns, each top letter a box
     as wide as its count.  The span covers every ball and explicit
-    capacity, and ``--colors`` restores the color count, so the text
-    re-parses to the state (and ``state_to_biword`` of it to the bi-word).
+    capacity, so the text re-parses to the state (and ``state_to_biword``
+    of it to the bi-word).  A state's ``--colors`` restores its color
+    count; a bi-word's is its largest color, which the parser infers.
     """
-    command = "evolve"
     if isinstance(case, BiWord):
         command = "rsk"
         case = biword_to_state(case, CapacityProfile(Counter(case.top)), max(case.bottom, default=0))
+    else:
+        command = f"evolve --colors {case.n}"
     labels = [*case.balls, *case.capacities.explicit] or [1]
     text = render_state(case, "walled", (min(labels), max(labels)))
-    return f"echo '{text}' | boxball {command} --colors {case.n}"
+    return f"echo '{text}' | boxball {command}"
 
 
 # perfbench/tracing.py tags the spans of this function, by name, with its

@@ -18,9 +18,7 @@ def run_cli(capsys, *argv):
 
 
 def test_evolve_reproduces_capacity_table(capsys, fixtures):
-    code, out = run_cli(
-        capsys, "evolve", str(fixtures / "sec6_input.txt"), "--steps", "4", "--notation", "walled"
-    )
+    code, out = run_cli(capsys, "evolve", str(fixtures / "sec6_input.txt"), "--steps", "4")
     assert code == 0
     assert out == (fixtures / "sec6_table1.txt").read_text()
 
@@ -167,8 +165,12 @@ def test_a_failing_stdout_write_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, argv",
-    [("1", ["evolve", "--span=0:100000000000000000000"]), ("|1|+100000000000000000000", ["evolve"])],
-    ids=["compact-span", "walled-box"],
+    [
+        ("1", ["evolve", "--span=0:100000000000000000000"]),
+        ("|e1|", ["evolve", "--span=0:100000000000000000000"]),
+        ("|1|+100000000000000000000", ["evolve"]),
+    ],
+    ids=["compact-span", "walled-span", "walled-box"],
 )
 def test_output_past_the_index_range_exits_2(capsys, monkeypatch, text, argv):
     """Each line would need more than 2^63 tokens, so building it raises before it allocates."""
@@ -283,42 +285,33 @@ def test_evolve_with_span_keeps_the_labels(capsys, monkeypatch, text, span):
     assert [parse_state(x, 5) for x in spanned] == [parse_state(x, 5) for x in plain]
 
 
-def test_compact_output_rejects_a_wider_box(capsys, monkeypatch):
+def test_an_empty_unit_state_prints_empty_lines_and_no_trace(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("@-4|1|e2|ee|3|\n"))
-    assert main(["evolve", "--notation", "compact"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: compact notation needs capacity 1 everywhere, but box -3 differs\n"
-
-
-def test_compact_output_rejects_a_wider_default(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("@-1|1|2|+2\n"))
-    assert main(["evolve", "--notation", "compact", "--steps", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: compact notation needs capacity 1 everywhere, but the default capacity is 2\n"
-    )
-
-
-@pytest.mark.parametrize("span", [[], ["--span", "0:3"]])
-def test_compact_output_rejects_an_empty_wider_state(capsys, monkeypatch, span):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("|ee|\n"))
-    assert main(["evolve", "--notation", "compact", *span]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: compact notation needs capacity 1 everywhere, but box 1 differs\n"
     monkeypatch.setattr("sys.stdin", io.StringIO("__\n"))
-    assert main(["evolve", "--notation", "compact", "--steps", "1"]) == 0
-    assert capsys.readouterr().out == "\n\n"
+    assert main(["evolve", "--steps", "1"]) == 0
+    assert capsys.readouterr() == ("\n\n", "")
     monkeypatch.setattr("sys.stdin", io.StringIO("__\n"))
     assert main(["trace"]) == 0
     assert capsys.readouterr() == ("(empty state: nothing to trace)\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rsk", "--colors", "5"],
+        ["qsymbol", "--colors", "5"],
+        ["trace", "--colors", "5"],
+        ["evolve", "--notation", "walled"],
+        ["evolve", "--empty-char", "e"],
+    ],
+    ids=["rsk-colors", "qsymbol-colors", "trace-colors", "evolve-notation", "evolve-empty-char"],
+)
+def test_options_that_change_no_output_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 VERIFY_SUITES = {
@@ -354,15 +347,14 @@ def test_verify_prints_the_first_failing_case(capsys, monkeypatch, suite):
     assert code == 1
     lines = out.splitlines()
     at = lines.index(f"{suite}: {sum(verdicts)}/20 FAIL")
-    replay = r"  first failure, case (\d+) of seed (\d+): echo '(.+)' \| boxball (\w+) --colors (\d+)"
+    replay = r"  first failure, case (\d+) of seed (\d+): echo '(.+)' \| boxball (\w+)(?: --colors (\d+))?"
     m = re.fullmatch(replay, lines[at + 1])
-    case, seed, text, command, colors = int(m[1]), int(m[2]), m[3], m[4], int(m[5])
+    case, seed, text, command, colors = int(m[1]), int(m[2]), m[3], m[4], m[5]
     assert case == verdicts.index(False) and seed == 1
-    replayed = parse_state(text, colors)
     if suite == "rsk-roundtrip":
-        assert command == "rsk" and state_to_biword(replayed) == seen[case]
+        assert command == "rsk" and colors is None and state_to_biword(parse_state(text)) == seen[case]
     else:
-        assert command == "evolve" and replayed == seen[case]
+        assert command == "evolve" and parse_state(text, int(colors)) == seen[case]
     rest = lines[:at] + lines[at + 2:-1]
     assert rest == [x for x in passing.splitlines()[:-1] if not x.startswith(f"{suite}:")]
 
@@ -419,7 +411,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     calls = [
-        (["evolve", "--steps", "2", "--span=-1:8", "--colors", "6", "--empty-char", "e"], "234_15\n"),
+        (["evolve", "--steps", "2", "--span=-1:8", "--colors", "6"], "234_15\n"),
         (["qsymbol", "--steps", "1"], "@-2 1_2\n"),
         (["evolve", "--span", "3"], ""),
         (["trace", "--mode", "slots"], "1_2\n"),

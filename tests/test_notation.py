@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxball.bbs import CapacityProfile, State, carrier_step
+from boxball.bbs import CapacityProfile, State, carrier_step, evolve
 from boxball.notation import StateParseError, parse_state, render_state, render_trajectory
 
 
@@ -142,6 +142,44 @@ def test_compact_output_needs_unit_capacity_off_the_shown_boxes_too():
     with pytest.raises(ValueError, match="box 5 differs"):
         render_state(wide_elsewhere, "compact")
     assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}, 1)), "compact") == "1"
+
+
+@pytest.mark.parametrize(
+    "text, which",
+    [("@-4|1|e2|ee|3|", "box -3 differs"), ("@-1|1|2|+2", "the default capacity is 2"), ("|ee|", "box 1 differs")],
+    ids=["wider-box", "wider-default", "empty-wider-state"],
+)
+def test_compact_output_names_what_refuses_it(text, which):
+    s = parse_state(text)
+    message = f"^compact notation needs capacity 1 everywhere, but {which}$"
+    for span in (None, (0, 3)):
+        with pytest.raises(ValueError, match=message):
+            render_state(s, "compact", span)
+        with pytest.raises(ValueError, match=message):
+            render_trajectory([s, carrier_step(s)], "compact", span)
+
+
+def test_no_notation_means_compact_exactly_on_unit_capacities(fixtures):
+    unit = parse_state("@1 234_15", colors=5)
+    assert render_state(unit) == render_state(unit, "compact") == "@1 234_15"
+    assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}))) == "1"
+    for text in ("@-1|e1|2|", "@-1|1|2|+2", "|1|e2|"):
+        s = parse_state(text)
+        assert render_state(s) == render_state(s, "walled") == text
+    states = evolve(parse_state("|1|e2|"), 2)
+    assert render_trajectory(states) == render_trajectory(states, "walled")
+    states = evolve(unit, 2)
+    assert render_trajectory(states) == render_trajectory(states, "compact")
+    sec6 = parse_state((fixtures / "sec6_input.txt").read_text())
+    assert render_trajectory(evolve(sec6, 4)) == (fixtures / "sec6_table1.txt").read_text().splitlines()
+
+
+def test_walled_output_builds_a_default_box_only_when_it_shows_one():
+    huge = 10**20
+    s = parse_state(f"|1|e1|+{huge}")
+    assert render_state(s) == f"|1|e1|+{huge}"
+    with pytest.raises(OverflowError):  # box 3 shows the default: a box wider than an index
+        render_state(s, span=(1, 3))
 
 
 def test_render_anchor_rules():
