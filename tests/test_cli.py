@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from boxball.bbs import evolve
 from boxball.cli import main
-from boxball.notation import parse_state
+from boxball.notation import parse_state, render_trajectory
 from boxball.verify import FIXTURE_CHECKS
 
 
@@ -283,6 +284,22 @@ def test_evolve_with_span_keeps_the_labels(capsys, monkeypatch, text, span):
     plain, spanned = lines
     assert spanned[0].startswith(f"@{span.split(':')[0]}")
     assert [parse_state(x, 5) for x in spanned] == [parse_state(x, 5) for x in plain]
+
+
+@pytest.mark.parametrize("span", [[], ["--span", "0:3"]])
+def test_compact_output_rejects_an_empty_wider_state(capsys, monkeypatch, span):
+    import io
+
+    states = evolve(parse_state("|ee|"), 1)
+    shown = (0, 3) if span else None
+    with pytest.raises(ValueError, match="^compact notation needs capacity 1 everywhere, but box 1 differs$"):
+        render_trajectory(states, "compact", shown)
+    monkeypatch.setattr("sys.stdin", io.StringIO("|ee|\n"))
+    assert main(["evolve", *span]) == 0  # so evolve prints the walled text instead
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == render_trajectory(states, "walled", shown)
+    assert out == ("\n\n" if not span else "@0|e|ee|e|e|\n" * 2)
 
 
 def test_an_empty_unit_state_prints_empty_lines_and_no_trace(capsys, monkeypatch):
