@@ -28,11 +28,17 @@ sweep reads the occupied boxes' slot ends in one pass
 (``CapacityProfile.slot_ends``) and records each drop as a box label and
 a color, two flat lists in slot order.  ``_boxes`` turns such
 label-ordered columns into boxes, for a step and for ``biword_to_state``
-alike, so a step builds its next ``State`` once; a one-ball box is a
-1-tuple, the normal form that ``State`` stores as it comes, with no
-conversion or check beyond its color range.  The ball-moving rule itself
-lives only in ``oracle.naive_original_step``, as an independent
-reference.
+alike; a one-ball box is a 1-tuple, the normal form that ``State`` stores
+as it comes, with no conversion or check beyond its color range.  A
+step's output is in normal form by construction (int labels, colors
+ascending per box, each from the state before, no box past its capacity),
+so ``carrier_step`` and ``_trajectory`` build it by ``_normal_state``,
+which skips ``State``'s box-by-box check; the carrier's end check and the
+label carrier's length check guard it instead.  Compact parsing
+(``notation``) is its one other user; ``biword_to_state``, ``mirror``,
+walled parsing and every ``State`` a caller builds keep the check.  The
+ball-moving rule itself lives only in ``oracle.naive_original_step``, as
+an independent reference.
 ``evolve`` steps a dense window, at most ``_DENSE`` vacant slots per ball,
 by the box-label carrier instead, carried from step to step
 (``_trajectory``), and hands over to ``carrier_step`` for the rest of the
@@ -208,6 +214,20 @@ class State:
         return not self.balls
 
 
+def _normal_state(n: int, boxes: dict[int, Word], capacities: CapacityProfile) -> State:
+    """A ``State`` from boxes already in normal form, without ``State``'s check.
+
+    Only for producers whose output is checked by construction: an ``int``
+    n >= 0, ``int`` labels, and per box a nonempty tuple of ``int`` colors
+    in 1..n, ascending, no longer than the box's capacity.
+    """
+    s = object.__new__(State)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "balls", MappingProxyType(boxes))
+    object.__setattr__(s, "capacities", capacities)
+    return s
+
+
 def _packed_slots(top: Sequence[int], capacities: CapacityProfile) -> list[int]:
     """Slots of an ascending top row, a box label per ball: a box's m balls take its last m slots."""
     ends = capacities.slot_ends(top)
@@ -342,7 +362,7 @@ def carrier_step(s: State) -> State:
     boxes, held = _box_sweep(s)
     if held:
         raise InvariantError(f"the carrier ended holding {tuple(held)}, not only sentinels")
-    return State(s.n, boxes, s.capacities)
+    return _normal_state(s.n, boxes, s.capacities)
 
 
 def _box_sweep(s: State) -> tuple[dict[int, Word], list[int]]:
@@ -580,7 +600,7 @@ def _trajectory(s: State) -> Iterator[State]:
             if len(boxes) < count:  # a box of several balls
                 cols = sorted(zip(labels, colors))
                 boxes = _boxes([j for j, _ in cols], [c for _, c in cols])
-            s = State(s.n, boxes, capacities)
+            s = _normal_state(s.n, boxes, capacities)
             yield s
     while True:
         s = carrier_step(s)

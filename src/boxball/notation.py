@@ -23,6 +23,12 @@ emits canonical text, so parse -> render is idempotent on text and
 render -> parse recovers the state.  Only shown boxes carry their
 capacities: to keep explicit capacities of boxes outside the occupied
 range, render with a span that covers them.
+
+A negative ``colors`` is refused before any box is read.  Compact text
+builds its ``State`` past the box-by-box check (``bbs._normal_state``):
+its token checks already give int labels over 1-tuples of colors in
+1..n.  Walled text, whose vacant boxes come out as ``()`` and whose
+colors come in text order, takes the check.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import re
 from itertools import chain, compress
 
-from .bbs import CapacityProfile, State
+from .bbs import UNIT_CAPACITY, CapacityProfile, State, _normal_state
 
 _PREFIX = re.compile(r"^@(-?\d+)", re.ASCII)
 _VACANT = ("_", "e")
@@ -44,6 +50,8 @@ class StateParseError(ValueError):
 
 def parse_state(text: str, colors: int | None = None) -> State:
     """Parse either notation; ``colors`` overrides the inferred color count."""
+    if colors is not None and colors < 0:
+        raise ValueError("number of colors must be nonnegative")
     body = text.strip()
     first_label: int | None = None
     m = _PREFIX.match(body)
@@ -62,31 +70,34 @@ def parse_state(text: str, colors: int | None = None) -> State:
         caps = {label0 + k: len(tokens) for k, tokens in enumerate(boxes)}
         profile = CapacityProfile(caps, default)
         balls = {label0 + k: _box_colors(tokens, k) for k, tokens in enumerate(boxes)}
-    else:
-        profile = CapacityProfile()
-        label0 = 0 if first_label is None else first_label
-        tokens = body.split()
-        if len(tokens) > 1:  # whitespace-separated tokens: all checked at once, and a bad one named below
-            shown = [tok not in _VACANT for tok in tokens]
-            words = list(compress(tokens, shown))
-            digits = "".join(words)
-            values = list(map(int, words)) if digits.isascii() and digits.isdigit() else [0]
-            if 0 in values:
-                for k, tok in enumerate(tokens):
-                    if shown[k]:
-                        _token_color(tok, k)
-            balls = dict(zip(compress(range(label0, label0 + len(tokens)), shown), zip(values)))
-        else:  # the body is stripped, so it holds no whitespace: one token per character
-            digit = _DIGIT_BOXES.get
-            balls = {
-                label0 + k: digit(tok) or (_token_color(tok, k),) for k, tok in enumerate(body) if tok not in _VACANT
-            }
+        return State(_color_count(balls, colors), balls, profile)
+    label0 = 0 if first_label is None else first_label
+    tokens = body.split()
+    if len(tokens) > 1:  # whitespace-separated tokens: all checked at once, and a bad one named below
+        shown = [tok not in _VACANT for tok in tokens]
+        words = list(compress(tokens, shown))
+        digits = "".join(words)
+        values = list(map(int, words)) if digits.isascii() and digits.isdigit() else [0]
+        if 0 in values:
+            for k, tok in enumerate(tokens):
+                if shown[k]:
+                    _token_color(tok, k)
+        balls = dict(zip(compress(range(label0, label0 + len(tokens)), shown), zip(values)))
+    else:  # the body is stripped, so it holds no whitespace: one token per character
+        digit = _DIGIT_BOXES.get
+        balls = {label0 + k: digit(tok) or (_token_color(tok, k),) for k, tok in enumerate(body) if tok not in _VACANT}
+    # each box is an int label over a 1-tuple of an int color in 1..n, so State's own check is skipped
+    return _normal_state(_color_count(balls, colors), balls, UNIT_CAPACITY)
+
+
+def _color_count(balls: dict[int, tuple[int, ...]], colors: int | None) -> int:
+    """The largest color, or ``colors`` when given and no color exceeds it."""
     n = max(chain.from_iterable(balls.values()), default=0)
-    if colors is not None:
-        if n > colors:
-            raise StateParseError(f"color {n} exceeds the declared color count {colors}")
-        n = colors
-    return State(n, balls, profile)
+    if colors is None:
+        return n
+    if n > colors:
+        raise StateParseError(f"color {n} exceeds the declared color count {colors}")
+    return int(colors)
 
 
 def _split_walled(body: str) -> tuple[list[list[str]], int]:
@@ -207,7 +218,7 @@ def render_trajectory(
     walled otherwise.
     """
     if span is None:
-        occupied = [j for s in states for j in s.balls]
+        occupied = [s.balls for s in states if s.balls]
         if occupied:  # else each state is empty and render_state gives "" after its checks
-            span = (min(occupied), max(occupied))
+            span = (min(map(min, occupied)), max(map(max, occupied)))
     return [render_state(s, notation, span, empty, anchor) for s in states]

@@ -51,8 +51,14 @@ def make_biword(columns: Iterable[tuple[int, int]]) -> BiWord:
 
 
 def dual(bw: BiWord) -> BiWord:
-    """Swap the rows and re-sort the columns; an involution."""
-    return make_biword((j, i) for i, j in zip(bw.top, bw.bottom))
+    """Swap the rows and re-sort the columns; an involution.
+
+    One stable sort of the column indices by bottom entry: the columns are
+    in lexicographic order, so among equal bottom entries the top entries,
+    the new bottom row, already ascend.
+    """
+    order = sorted(range(len(bw)), key=bw.bottom.__getitem__)
+    return BiWord(tuple(map(bw.bottom.__getitem__, order)), tuple(map(bw.top.__getitem__, order)))
 
 
 def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:

@@ -2,6 +2,7 @@ import random
 import time
 from bisect import bisect_right, insort
 from itertools import accumulate
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given
@@ -346,7 +347,8 @@ def test_carrier_step_builds_one_state_per_step(monkeypatch):
     monkeypatch.setattr(State, "__post_init__", lambda s: built.append(s) or check(s))
     for s, after in zip(states, expected):
         built.clear()
-        assert carrier_step(s) == after and len(built) == 1
+        # the step's one State is built in normal form, past the box-by-box check
+        assert carrier_step(s) == after and len(built) == 0
 
 
 def test_carrier_step_makes_no_per_box_slot_end_calls(monkeypatch):
@@ -678,6 +680,25 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
     # the two symbols as defined through the state's bi-word, kept as references
     assert p_symbol(s) == tab(state_to_biword(s).bottom)
     assert box_label_sequence(s) == dual(state_to_biword(s)).bottom
+
+
+def assert_as_checked(t):
+    """t holds exactly what ``State``'s own check makes of its boxes: labels, colors, their order and types."""
+    again = State(t.n, dict(t.balls), t.capacities)
+    assert list(t.balls.items()) == list(again.balls.items())
+    assert type(t.n) is int and type(t.balls) is MappingProxyType
+    for label, colors in t.balls.items():
+        assert type(label) is int and type(colors) is tuple and {type(c) for c in colors} == {int}
+
+
+@given(profiled_states(), st.integers(0, 40))
+@example(State(3, {0: (1, 3), 1: (2,), 3: (1, 2)}, CapacityProfile({0: 2, 3: 2})), 40)  # dense, then handed over
+@example(WIDE, 3)
+def test_stepped_states_equal_their_checked_rebuild(s, steps):
+    # carrier_step and evolve's dense steps build their states past State's check
+    assert_as_checked(carrier_step(s))
+    for t in evolve(s, steps):
+        assert_as_checked(t)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,15 @@ def test_parse_error_exits_2_with_its_message(capsys, monkeypatch, text, message
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text", ["|ee|\n", "1_2\n"])
+def test_a_negative_color_count_exits_2(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["evolve", "--colors", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: number of colors must be nonnegative\n")
+
+
 @pytest.mark.parametrize("default", ["２", " 2", "1_0"])
 def test_default_capacity_takes_ascii_digits_only(capsys, monkeypatch, default):
     import io

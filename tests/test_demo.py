@@ -1,8 +1,11 @@
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DEMO = SCRIPTS / "demo.py"
@@ -54,3 +57,20 @@ def test_unrun_script_selects_statements_and_entry_points(tmp_path):
     assert statements(module) == {5: False, 6: True, 7: False, 8: True}
     module = module.rename(tmp_path / "cli.py")
     assert statements(module) == {5: False, 6: False, 7: False, 8: True}
+
+
+def test_ab_script_compares_the_working_tree_with_itself(tmp_path):
+    ab = runpy.run_path(str(SCRIPTS / "ab.py"))
+    src = SCRIPTS.parent / "src"
+    result = ab["compare"](src, src, "standard", jobs=3, rounds=2)
+    assert (result["jobs"], result["rounds"], len(result["round_wins"])) == (3, 2, 2)
+    for side in ("base_ms", "change_ms"):
+        assert 0 < result[side]["p50"] <= result[side]["p90"] <= result[side]["sum"]
+    assert set(result["ratio"]) == {"p50", "p90", "sum"}
+    # a tree that prints vacancies as e stops the run at its first evolve call
+    shutil.copytree(src / "boxball", tmp_path / "boxball", ignore=shutil.ignore_patterns("__pycache__"))
+    notation = tmp_path / "boxball" / "notation.py"
+    notation.write_text(notation.read_text().replace('empty: str = "_"', 'empty: str = "e"'))
+    with pytest.raises(ab["OutputsDiffer"]) as err:
+        ab["compare"](src, tmp_path, "standard", jobs=3, rounds=2)
+    assert str(err.value) == "standard seed 1 job 0: `boxball evolve --steps 8` differs in stdout"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from boxball.bbs import CapacityProfile, State, carrier_step, evolve
 from boxball.notation import StateParseError, parse_state, render_state, render_trajectory
+from test_bbs import assert_as_checked
 
 
 def test_parse_compact_reference():
@@ -106,12 +107,26 @@ def test_parse_errors():
         ("1²3", "bad token '²' in box 2"),
         ("1 ١ 2", "bad token '١' in box 2"),
         ("1 0 12", "bad token '0' in box 2"),
+        ("@-3x1", "expected whitespace or '|' after @-3"),
+        # (text, colors): a declared color count is compared after every token is read
+        (("1 0 12", 2), "bad token '0' in box 2"),
+        (("1 x 12", 12), "bad token 'x' in box 2"),
+        (("1_23", 2), "color 3 exceeds the declared color count 2"),
+        (("1 _ 12", 11), "color 12 exceeds the declared color count 11"),
     ],
 )
 def test_compact_tokens_outside_the_digit_table_keep_their_messages(text, message):
+    text, colors = (text, None) if isinstance(text, str) else text
     with pytest.raises(StateParseError) as err:
-        parse_state(text)
+        parse_state(text, colors)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "1_2", "1 _ 12", "|ee|", "|1|2|+2", "x", "|1|2"])
+def test_a_negative_color_count_is_refused_before_any_box(text):
+    with pytest.raises(ValueError) as err:
+        parse_state(text, -1)
+    assert type(err.value) is ValueError and str(err.value) == "number of colors must be nonnegative"
 
 
 def test_render_compact_reference():
@@ -262,7 +277,8 @@ def test_parse_accepts_or_rejects_any_text(text, colors):
         s = parse_state(text, colors)
     except ValueError:
         return
-    assert isinstance(s, State)
+    assert isinstance(s, State) and s.n >= 0
+    assert_as_checked(s)  # compact text is built past State's check
     if not s.is_empty():
         shown = set(s.balls) | set(s.capacities.explicit)
         assert parse_state(render_state(s, "walled", (min(shown), max(shown))), colors=s.n) == s
