@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """In-process CPU-time A/B of a revision against the working tree, job by job.
 
-    python3 scripts/ab.py REV WORKLOAD OUT [--jobs K] [--rounds R]
+    python3 scripts/ab.py REV WORKLOAD OUT
 
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, with
 no network, and imports both trees' ``boxball`` into this one process as
 two module sets; each call puts its side's set into ``sys.modules`` first.
-The jobs are the first K (default 100) seed-1 jobs of WORKLOAD, made by
-``perfbench/workloads.make_jobs`` from ``perfbench/spec.json``, which are
-only read.  Each call runs ``boxball.cli.main(argv)`` with stdin and stdout
+The jobs are the first 100 seed-1 jobs of WORKLOAD, made by
+``perfbench/workloads.make_jobs`` from ``perfbench/spec.json``; the p50 and
+p90 are ``perfbench/run.py``'s ``percentile``.  Those files are only read.  Each call runs ``boxball.cli.main(argv)`` with stdin and stdout
 held in memory, from the repository root, so ``verify`` jobs on both sides
 read the working tree's ``tests/fixtures``.
 
-Each of R (default 5) rounds runs every job on both sides.  The side that
+Each of 5 rounds runs every job on both sides.  The side that
 runs a job first alternates from job to job and from round to round, and
 each job keeps its least CPU time (``time.process_time``) over the rounds.
 The first call whose (exit, stdout, stderr) differs between the sides ends
@@ -34,7 +34,6 @@ import json
 import os
 import platform
 import pkgutil
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -45,6 +44,14 @@ from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
+
+# read only: the job list and the percentile of perfbench/run.py
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    import workloads
+    from run import percentile
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 Modules = dict[str, ModuleType]
 
@@ -112,11 +119,6 @@ def call(modules: Modules, argv: tuple[str, ...], text: str) -> tuple[tuple[int,
 
 def make_jobs(workload: str, count: int) -> list:
     """The first ``count`` seed-1 jobs of a ``perfbench/spec.json`` workload."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
     spec = json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"]
     if workload not in spec:
         raise SystemExit(f"ab: no workload {workload!r}; choose from {', '.join(sorted(spec))}")
@@ -124,9 +126,8 @@ def make_jobs(workload: str, count: int) -> list:
 
 
 def summary(ms: list[float]) -> dict[str, float]:
-    """p50 and p90 by linear interpolation between the closest ranks, as ``perfbench/run.py``, and the sum."""
-    deciles = statistics.quantiles(ms, n=10, method="inclusive")
-    return {"p50": deciles[4], "p90": deciles[8], "sum": sum(ms)}
+    """p50, p90 and sum of per-job times."""
+    return {"p50": percentile(ms, 0.5), "p90": percentile(ms, 0.9), "sum": sum(ms)}
 
 
 def compare(base_src: Path, change_src: Path, workload: str, jobs: int = 100, rounds: int = 5) -> dict:
@@ -180,15 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="the git revision to compare the working tree with, e.g. HEAD~1")
     parser.add_argument("workload", help="a workload of perfbench/spec.json")
     parser.add_argument("out", type=Path, help="JSON file to write, keyed by workload")
-    parser.add_argument("--jobs", type=int, default=100, help="how many of the workload's first jobs to run")
-    parser.add_argument("--rounds", type=int, default=5, help="rounds per job; each side keeps its best")
     args = parser.parse_args(argv)
     out = args.out.resolve()
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         commit, base_src = export(args.rev, Path(tmp))
         try:
-            result = compare(base_src, ROOT / "src", args.workload, args.jobs, args.rounds)
+            result = compare(base_src, ROOT / "src", args.workload)
         except OutputsDiffer as err:
             print(f"ab: {err}", file=sys.stderr)
             return 1

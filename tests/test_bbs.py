@@ -2,7 +2,6 @@ import random
 import time
 from bisect import bisect_right, insort
 from itertools import accumulate
-from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given
@@ -41,6 +40,7 @@ from boxball.verify import (
     large_state,
     random_state,
 )
+from checked_rebuild import assert_as_checked
 
 # the running 5-color example: 234_15 in boxes 1..6
 SMALL = State(5, {1: (2,), 2: (3,), 3: (4,), 5: (1,), 6: (5,)})
@@ -680,15 +680,6 @@ def test_box_walk_matches_the_slot_by_slot_window(s):
     # the two symbols as defined through the state's bi-word, kept as references
     assert p_symbol(s) == tab(state_to_biword(s).bottom)
     assert box_label_sequence(s) == dual(state_to_biword(s)).bottom
-
-
-def assert_as_checked(t):
-    """t holds exactly what ``State``'s own check makes of its boxes: labels, colors, their order and types."""
-    again = State(t.n, dict(t.balls), t.capacities)
-    assert list(t.balls.items()) == list(again.balls.items())
-    assert type(t.n) is int and type(t.balls) is MappingProxyType
-    for label, colors in t.balls.items():
-        assert type(label) is int and type(colors) is tuple and {type(c) for c in colors} == {int}
 
 
 @given(profiled_states(), st.integers(0, 40))

@@ -74,3 +74,16 @@ def test_ab_script_compares_the_working_tree_with_itself(tmp_path):
     with pytest.raises(ab["OutputsDiffer"]) as err:
         ab["compare"](src, tmp_path, "standard", jobs=3, rounds=2)
     assert str(err.value) == "standard seed 1 job 0: `boxball evolve --steps 8` differs in stdout"
+
+
+def test_ab_script_exports_a_revision_that_it_can_load(tmp_path):
+    root = SCRIPTS.parent
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout: there is no revision to export")
+    ab = runpy.run_path(str(SCRIPTS / "ab.py"))
+    commit, src = ab["export"]("HEAD", tmp_path)
+    assert (commit, src) == (head.stdout.strip(), tmp_path / "src")
+    assert (src / "boxball" / "cli.py").is_file()
+    result = ab["compare"](src, src, "standard", jobs=3, rounds=1)
+    assert (result["jobs"], result["rounds"], len(result["round_wins"])) == (3, 1, 1)

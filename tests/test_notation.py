@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from boxball.bbs import CapacityProfile, State, carrier_step, evolve
 from boxball.notation import StateParseError, parse_state, render_state, render_trajectory
-from test_bbs import assert_as_checked
+from checked_rebuild import assert_as_checked
 
 
 def test_parse_compact_reference():
