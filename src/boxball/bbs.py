@@ -67,8 +67,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rsk import BiWord
-from .tableau import InvariantError, Tableau, Word, shape, tab, word_of
+from .rsk import BiWord, _int_biword
+from .tableau import InvariantError, Tableau, Word, _int_tableau, shape, tab, word_of
 
 Carrier = tuple[int, ...]  # weakly increasing multiset of letters or labels
 LabelSequence = tuple[int, ...]  # box labels listed per ascending ball color
@@ -264,7 +264,7 @@ def slot_word(s: State) -> tuple[int, Word]:
 
 def state_to_biword(s: State) -> BiWord:
     """Columns (box label over ball color) scanned left to right."""
-    return BiWord(*_columns(s))
+    return _int_biword(*_columns(s))
 
 
 def _columns(s: State) -> tuple[list[int], list[int]]:
@@ -298,9 +298,13 @@ def q_symbol(s: State) -> Tableau:
 
 
 def box_label_sequence(s: State) -> LabelSequence:
-    """Labels of the occupied boxes listed per ascending ball color: the columns sorted by (color, label)."""
+    """Labels of the occupied boxes listed per ascending ball color: the columns sorted by (color, label).
+
+    One stable sort of the column indices by color: ``_columns`` lists the
+    labels in ascending order, so equal colors keep their labels ascending.
+    """
     labels, colors = _columns(s)
-    return tuple(j for _, j in sorted(zip(colors, labels)))
+    return tuple(map(labels.__getitem__, sorted(range(len(colors)), key=colors.__getitem__)))
 
 
 def carrier_pass(carrier: Iterable[int], word: Iterable[int]) -> tuple[Word, Carrier]:
@@ -527,8 +531,9 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
       still sits at s_j (t_1 < .. < t_{j-1} <= s_{j-1}); so the entry it
       unloads is at most a_j < b_j.
 
-    The ``Tableau`` row and column checks guard this; a cut that fails
-    them raises ``InvariantError``.
+    The ``Tableau`` row and column checks guard this (``_int_tableau``
+    runs them, since the labels are exact ``int``s); a cut that fails them
+    raises ``InvariantError``.
     """
     if not q.rows:
         return q
@@ -536,7 +541,7 @@ def q_evolve(q: Tableau, capacities: CapacityProfile) -> Tableau:
     out = iter(_label_pass(list(word_of(q)), list(_vacant_labels(top, capacities)))[0])
     rows = [tuple(islice(out, len(row))) for row in reversed(q.rows)]
     try:
-        return Tableau(tuple(reversed(rows)))
+        return _int_tableau(reversed(rows))
     except ValueError as err:
         raise InvariantError(f"the carrier output is not a tableau of shape {shape(q)}: {err}") from None
 
@@ -558,8 +563,9 @@ def _trajectory(s: State) -> Iterator[State]:
     While the window holds at most ``_DENSE`` vacant slots per ball, a
     step is ``box_label_step``'s ``_label_pass`` with its carrier carried
     over from the step before.  The balls are read in (color, label)
-    order, as ``box_label_sequence`` lists their labels, and their colors,
-    ``sorted(colors)``, never change; each ball takes the least vacant
+    order, as ``box_label_sequence`` lists their labels, by the same one
+    stable sort of the state's columns by color, and their colors, now
+    ascending, never change; each ball takes the least vacant
     label above its own and leaves its own label in the carrier.  After
     the pass the carrier holds the vacant labels of the new state over the
     old window; the labels of the slots the window gains at its end are
@@ -585,7 +591,8 @@ def _trajectory(s: State) -> Iterator[State]:
                 break
             if carrier is None:
                 carrier = list(_vacant_labels(labels, capacities))
-                labels, colors = list(box_label_sequence(s)), sorted(colors)
+                order = sorted(range(count), key=colors.__getitem__)  # stable, as in box_label_sequence
+                labels, colors = list(map(labels.__getitem__, order)), list(map(colors.__getitem__, order))
                 singles = list(zip(colors))  # each ball's one-ball box, shared by every state of the run
             else:
                 # the slots past the old window; those of the first box would only be cut again
@@ -614,7 +621,7 @@ def reduce_generalized_to_advanced(bw: BiWord, capacities: CapacityProfile) -> B
     with color.  ``capacities.label_of_slot`` maps each slot back to its
     box label, which recovers the generalized bi-word.
     """
-    return BiWord(tuple(_packed_slots(bw.top, capacities)), bw.bottom)
+    return _int_biword(_packed_slots(bw.top, capacities), bw.bottom)
 
 
 def reduce_advanced_to_standard(bw: BiWord) -> BiWord:
@@ -628,4 +635,4 @@ def reduce_advanced_to_standard(bw: BiWord) -> BiWord:
     rank = [0] * len(order)
     for r, k in enumerate(order, 1):
         rank[k] = r
-    return BiWord(bw.top, tuple(rank))
+    return _int_biword(bw.top, rank)

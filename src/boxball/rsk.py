@@ -6,6 +6,12 @@ within each run of equal top entries).  ``rsk`` sends a bi-word to its
 insertion tableau P and recording tableau Q; ``inverse_rsk`` is the exact
 inverse, defined on every pair of tableaux of one shape.  Entries on both
 rows may be any integers, of either sign.
+
+``BiWord(top, bottom)`` and ``make_biword`` convert each entry with
+``int``; the package's own producers (``dual``, ``inverse_rsk``,
+``bbs.state_to_biword`` and the reductions) hold exact ``int``s already
+and build through the private ``_int_biword``, which skips only that
+conversion.  Both run one check, ``_check_columns``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable
 
-from .tableau import InvariantError, Tableau, _bump, shape
+from .tableau import InvariantError, Tableau, _bump, _int_tableau, shape
 
 IntegerMatrix = dict[tuple[int, int], int]
 
@@ -31,17 +37,32 @@ class BiWord:
         bottom = tuple(map(int, self.bottom))
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
-        if len(top) != len(bottom):
-            raise ValueError(f"row lengths differ: {len(top)} vs {len(bottom)}")
-        cols = list(zip(top, bottom))
-        if not all(map(le, cols, cols[1:])):  # (top, bottom) pairs in lexicographic order
-            k = list(map(le, cols, cols[1:])).index(False)
-            if top[k] > top[k + 1]:
-                raise ValueError(f"top row decreases at column {k + 1}")
-            raise ValueError(f"bottom row decreases within equal top entries at column {k + 1}")
+        _check_columns(top, bottom)
 
     def __len__(self) -> int:
         return len(self.top)
+
+
+def _check_columns(top: tuple[int, ...], bottom: tuple[int, ...]) -> None:
+    """The bi-word check: rows of equal length whose (top, bottom) columns are in lexicographic order."""
+    if len(top) != len(bottom):
+        raise ValueError(f"row lengths differ: {len(top)} vs {len(bottom)}")
+    cols = list(zip(top, bottom))
+    if sorted(cols) != cols:
+        k = list(map(le, cols, cols[1:])).index(False)
+        if top[k] > top[k + 1]:
+            raise ValueError(f"top row decreases at column {k + 1}")
+        raise ValueError(f"bottom row decreases within equal top entries at column {k + 1}")
+
+
+def _int_biword(top: Iterable[int], bottom: Iterable[int]) -> BiWord:
+    """A ``BiWord`` from rows of exact ``int``s: no conversion, the same check."""
+    bw = object.__new__(BiWord)
+    top, bottom = tuple(top), tuple(bottom)
+    object.__setattr__(bw, "top", top)
+    object.__setattr__(bw, "bottom", bottom)
+    _check_columns(top, bottom)
+    return bw
 
 
 def make_biword(columns: Iterable[tuple[int, int]]) -> BiWord:
@@ -58,7 +79,7 @@ def dual(bw: BiWord) -> BiWord:
     the new bottom row, already ascend.
     """
     order = sorted(range(len(bw)), key=bw.bottom.__getitem__)
-    return BiWord(tuple(map(bw.bottom.__getitem__, order)), tuple(map(bw.top.__getitem__, order)))
+    return _int_biword(map(bw.bottom.__getitem__, order), map(bw.top.__getitem__, order))
 
 
 def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
@@ -67,8 +88,10 @@ def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
     The k-th insertion of bottom[k] creates one box, at the end of row
     ``ends[k]``; Q carries top[k] in that box.  So Q's rows are the top
     entries grouped by that row, in order, and must have P's lengths.
-    Lexicographic column order makes Q column-strict, which the Tableau
-    constructor checks rather than assumes.
+    Lexicographic column order makes Q column-strict.  Both tableaux are
+    built by ``_int_tableau``, since the bi-word's entries are exact
+    ``int``s; it runs ``Tableau``'s full order check, so that claim is
+    checked rather than assumed.
     """
     p_rows, ends = _bump(bw.bottom)
     q_rows: list[list[int]] = [[] for _ in p_rows]
@@ -76,7 +99,7 @@ def rsk(bw: BiWord) -> tuple[Tableau, Tableau]:
         q_rows[r].append(i)
     if list(map(len, q_rows)) != list(map(len, p_rows)):
         raise InvariantError(f"Q's row lengths {list(map(len, q_rows))} differ from P's {list(map(len, p_rows))}")
-    return Tableau(p_rows), Tableau(q_rows)
+    return _int_tableau(p_rows), _int_tableau(q_rows)
 
 
 def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
@@ -95,7 +118,8 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
     smaller than the rising letter, at or right of its column, and the
     index ``j`` below is never negative.  By Knuth's theorem every pair
     of tableaux of one shape comes from exactly one bi-word, so the
-    columns come out in lexicographic order; ``BiWord`` still checks.
+    columns come out in lexicographic order; ``_int_biword`` still runs
+    ``BiWord``'s full column check on them.
     """
     if shape(p) != shape(q):
         raise ValueError(f"shape mismatch: {shape(p)} vs {shape(q)}")
@@ -110,7 +134,7 @@ def inverse_rsk(p: Tableau, q: Tableau) -> BiWord:
             x, row[j] = row[j], x
         top.append(v)
         bottom.append(x)
-    return BiWord(top[::-1], bottom[::-1])
+    return _int_biword(reversed(top), reversed(bottom))
 
 
 def matrix_of(bw: BiWord) -> IntegerMatrix:
@@ -124,4 +148,4 @@ def transpose(m: IntegerMatrix) -> IntegerMatrix:
 
 def render_biword(bw: BiWord) -> str:
     """Two lines of space-separated integers: top row, then bottom row."""
-    return " ".join(str(x) for x in bw.top) + "\n" + " ".join(str(x) for x in bw.bottom)
+    return " ".join([str(x) for x in bw.top]) + "\n" + " ".join([str(x) for x in bw.bottom])

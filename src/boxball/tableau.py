@@ -2,8 +2,11 @@
 
 A word is a tuple of integers of any sign.  A tableau is stored row by row,
 top row first; entries weakly increase along each row and strictly
-increase down each column.  ``Tableau(rows)`` is the one constructor: it
-takes any iterable of rows of integers and checks the order.  ``tab``
+increase down each column.  ``Tableau(rows)`` takes any iterable of rows
+of integers, converts each entry with ``int`` and checks the order; the
+private ``_int_tableau(rows)`` is the same constructor for rows whose
+entries are exact ``int``s by construction, and skips only the
+conversion.  Both run one order check, ``_check_rows``.  ``tab``
 folds a word into a tableau by bumping its letters in from the left, and
 ``rsk`` records where each letter's new box ended: both run the one
 private loop ``_bump``.  ``word_of`` reads the tableau back, bottom row
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import le, lt
-from typing import Iterable
+from itertools import chain
+from operator import lt
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -44,20 +48,34 @@ class Tableau:
     def __post_init__(self) -> None:
         rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        for r, row in enumerate(rows):
-            if not row:
-                raise ValueError(f"row {r + 1} is empty")
-            if not all(map(le, row, row[1:])):
-                raise ValueError(f"row {r + 1} is not weakly increasing")
-            if r > 0:
-                above = rows[r - 1]
-                if len(row) > len(above):
-                    raise ValueError(f"row {r + 1} is longer than row {r}")
-                if not all(map(lt, above, row)):  # stops at the end of the shorter row
-                    raise ValueError(f"column entries not strictly increasing into row {r + 1}")
+        _check_rows(rows)
 
     def __len__(self) -> int:
         return sum(len(row) for row in self.rows)
+
+
+def _check_rows(rows: tuple[Word, ...]) -> None:
+    """The tableau order check: nonempty rows, weakly increasing, no longer than the row above, columns strict."""
+    for r, row in enumerate(rows):
+        if not row:
+            raise ValueError(f"row {r + 1} is empty")
+        if sorted(row) != list(row):
+            raise ValueError(f"row {r + 1} is not weakly increasing")
+        if r > 0:
+            above = rows[r - 1]
+            if len(row) > len(above):
+                raise ValueError(f"row {r + 1} is longer than row {r}")
+            if not all(map(lt, above, row)):  # stops at the end of the shorter row
+                raise ValueError(f"column entries not strictly increasing into row {r + 1}")
+
+
+def _int_tableau(rows: Iterable[Sequence[int]]) -> Tableau:
+    """A ``Tableau`` from rows whose entries are exact ``int``s: no conversion, the same order check."""
+    t = object.__new__(Tableau)
+    rows = tuple(map(tuple, rows))
+    object.__setattr__(t, "rows", rows)
+    _check_rows(rows)
+    return t
 
 
 def _bump(word: Word) -> tuple[list[list[int]], list[int]]:
@@ -85,7 +103,7 @@ def _bump(word: Word) -> tuple[list[list[int]], list[int]]:
 
 def tab(letters: Iterable[int]) -> Tableau:
     """Insertion tableau of a word: fold row insertion over the letters."""
-    return Tableau(_bump(as_word(letters))[0])
+    return _int_tableau(_bump(as_word(letters))[0])
 
 
 def knuth_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -95,7 +113,7 @@ def knuth_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
 
 def word_of(t: Tableau) -> Word:
     """Reading word of a tableau: rows from the bottom up, left to right."""
-    return tuple(x for row in reversed(t.rows) for x in row)
+    return tuple(chain.from_iterable(reversed(t.rows)))
 
 
 def shape(t: Tableau) -> Shape:
@@ -105,4 +123,4 @@ def shape(t: Tableau) -> Shape:
 
 def render_tableau(t: Tableau) -> str:
     """One row per line, entries separated by single spaces, top row first."""
-    return "\n".join(" ".join(str(x) for x in row) for row in t.rows)
+    return "\n".join(" ".join([str(x) for x in row]) for row in t.rows)

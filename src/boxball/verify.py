@@ -72,15 +72,17 @@ def random_state(rng: random.Random) -> State:
     labels = list(range(lo, lo + width))
     explicit = {j: rng.randint(1, MAX_CAPACITY) for j in labels if rng.random() < 0.3}
     profile = CapacityProfile(explicit)
-    free = {j: profile.capacity(j) for j in labels}
+    free = profile.capacity_range(lo, lo + width)
+    open_boxes = labels  # ascending; a box leaves once it is full
     balls: dict[int, list[int]] = defaultdict(list)
     for _ in range(rng.randint(0, MAX_BALLS)):
-        open_boxes = [j for j in labels if free[j]]
         if not open_boxes:
             break
         j = rng.choice(open_boxes)
         balls[j].append(rng.randint(1, n))
-        free[j] -= 1
+        free[j - lo] -= 1
+        if not free[j - lo]:
+            open_boxes.remove(j)
     return State(n, {j: tuple(cs) for j, cs in balls.items()}, profile)
 
 

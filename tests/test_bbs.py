@@ -31,7 +31,7 @@ from boxball.bbs import (
     state_to_biword,
 )
 from boxball.oracle import naive_original_step
-from boxball.rsk import dual, rsk
+from boxball.rsk import dual, inverse_rsk, rsk
 from boxball.tableau import InvariantError, Tableau, knuth_equivalent, shape, tab, word_of
 from boxball.verify import (
     check_box_label,
@@ -40,7 +40,7 @@ from boxball.verify import (
     large_state,
     random_state,
 )
-from checked_rebuild import assert_as_checked
+from checked_rebuild import assert_as_checked, assert_exact_ints
 
 # the running 5-color example: 234_15 in boxes 1..6
 SMALL = State(5, {1: (2,), 2: (3,), 3: (4,), 5: (1,), 6: (5,)})
@@ -690,6 +690,26 @@ def test_stepped_states_equal_their_checked_rebuild(s, steps):
     assert_as_checked(carrier_step(s))
     for t in evolve(s, steps):
         assert_as_checked(t)
+
+
+@given(profiled_states())
+@example(WIDE)
+@example(State(3, {0: (1, 3), 1: (2,), 3: (1, 2)}, CapacityProfile({0: 2, 3: 2})))
+def test_box_label_sequence_is_the_columns_sorted_by_color_then_label(s):
+    # multi-ball boxes and repeated colors: among equal colors the labels must ascend
+    colors = [c for label in sorted(s.balls) for c in s.balls[label]]
+    labels = [label for label in sorted(s.balls) for _ in s.balls[label]]
+    assert box_label_sequence(s) == tuple(j for _, j in sorted(zip(colors, labels)))
+
+
+@given(profiled_states())
+@example(WIDE)
+def test_tableau_side_outputs_hold_exact_ints(s):
+    # these build through the int-row builders, which store their rows without int()
+    bw = state_to_biword(s)
+    p, q = rsk(bw)
+    for value in (bw, dual(bw), p, q, tab(bw.bottom), q_evolve(q, s.capacities), inverse_rsk(p, q)):
+        assert_exact_ints(value)
 
 
 # ---------------------------------------------------------------------------

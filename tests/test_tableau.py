@@ -60,6 +60,16 @@ def test_invalid_tableaux_rejected(rows):
         Tableau(rows)
 
 
+class Letter(int):
+    """An int subclass: ``tab`` must store it as a plain ``int``."""
+
+
+def test_tab_stores_plain_ints():
+    t = tab([True, Letter(3), False, 2.0])
+    assert t.rows == ((0, 2), (1, 3)) and t == Tableau([[0, 2], [1, 3]])
+    assert {type(x) for row in t.rows for x in row} == {int}
+
+
 def test_letters_of_any_sign():
     t = Tableau(((-1, 0), (2,)))
     assert word_of(t) == (2, -1, 0)

@@ -52,6 +52,17 @@ def dense_walled_state(rng, boxes):
     return State(9, balls, CapacityProfile(caps))
 
 
+def test_evolve_matches_the_oracle_on_dense_multi_ball_states(monkeypatch):
+    # repeated colors in boxes of several balls: the dense steps read the balls in (color, label) order
+    sweeps = count_sweeps(monkeypatch)
+    rng = random.Random(23)
+    for k in range(40):
+        s = dense_walled_state(rng, 12)
+        states = evolve(s, 6)
+        assert all(naive_original_step(a) == b for a, b in zip(states, states[1:])), (k, s)
+    assert len(sweeps) <= 40  # of 240 steps: nearly all are dense ones
+
+
 @pytest.mark.parametrize("flavor", ["standard", "generalized", "dense walled"])
 def test_evolve_matches_the_sweep_at_two_thousand_balls(flavor, monkeypatch):
     rng = random.Random(2000)

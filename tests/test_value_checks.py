@@ -12,8 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxball.bbs import CapacityProfile, State, biword_to_state
-from boxball.rsk import BiWord
-from boxball.tableau import Tableau, tab
+from boxball.rsk import BiWord, _int_biword
+from boxball.tableau import Tableau, _int_tableau, tab
+from checked_rebuild import assert_exact_ints
 
 letters = st.integers(-3, 5)
 
@@ -116,6 +117,43 @@ def test_biword_checks_match_the_reference(pair):
     if expected is None:
         bw = BiWord(tuple(top), tuple(bottom))
         assert (bw.top, bw.bottom) == reference_biword(top, bottom)
+
+
+def outcome(build, *args):
+    """What a constructor makes of its arguments: ("ok", value) or (exception type, message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@given(near_tableaux())
+@example([])
+@example([[]])
+@example([[1, 2], []])
+@example([[1], [2, 3]])
+@example([[2, 1]])
+@example([[1, 2], [1]])
+def test_the_int_row_tableau_builder_equals_the_constructor(rows):
+    # _int_tableau takes rows of exact ints; it skips Tableau's int() conversion and keeps its check
+    built, expected = outcome(_int_tableau, rows), outcome(Tableau, rows)
+    assert built == expected
+    if built[0] == "ok":
+        assert type(built[1]) is Tableau
+        assert_exact_ints(built[1])
+
+
+@given(near_biwords())
+@example(([], []))
+@example(([1], []))
+@example(([2, 1], [0, 0]))
+@example(([1, 1], [3, 2]))
+def test_the_int_row_biword_builder_equals_the_constructor(pair):
+    built, expected = outcome(_int_biword, *pair), outcome(BiWord, *pair)
+    assert built == expected
+    if built[0] == "ok":
+        assert type(built[1]) is BiWord
+        assert_exact_ints(built[1])
 
 
 class Int(int):
