@@ -69,7 +69,8 @@ def parse_state(text: str, colors: int | None = None) -> State:
         label0 = 1 if first_label is None else first_label
         caps = {label0 + k: len(tokens) for k, tokens in enumerate(boxes)}
         profile = CapacityProfile(caps, default)
-        balls = {label0 + k: _box_colors(tokens, k) for k, tokens in enumerate(boxes)}
+        balls = {label0 + k: tuple(_token_color(tok, k) for tok in tokens if tok not in _VACANT)
+                 for k, tokens in enumerate(boxes)}
         return State(_color_count(balls, colors), balls, profile)
     label0 = 0 if first_label is None else first_label
     tokens = body.split()
@@ -112,19 +113,14 @@ def _split_walled(body: str) -> tuple[list[list[str]], int]:
         body = body[:plus].rstrip()
     if not body.endswith("|"):
         raise StateParseError("walled notation must end with '|'")
-    segments = body[1:-1].split("|")
     wide = any(ch.isspace() for ch in body)
     boxes = []
-    for k, seg in enumerate(segments):
+    for k, seg in enumerate(body[1:-1].split("|")):
         tokens = seg.split() if wide else list(seg)
         if not tokens:
             raise StateParseError(f"box {k + 1} of the walled text is zero-width")
         boxes.append(tokens)
     return boxes, default
-
-
-def _box_colors(tokens: list[str], k: int) -> tuple[int, ...]:
-    return tuple(_token_color(tok, k) for tok in tokens if tok not in _VACANT)
 
 
 def _token_color(tok: str, k: int) -> int:
@@ -147,7 +143,9 @@ def render_state(
     an explicit ``"compact"`` on any other state raises ``ValueError``.
     ``span`` fixes the inclusive label range shown (default: the occupied
     range; an inverted one raises ``ValueError``); ``empty`` picks the
-    vacancy character for compact output; ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
+    vacancy character for compact output, ``_`` or ``e`` (any other raises
+    ``ValueError``, since its text would not parse back to the state);
+    ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
     at the notation's default first label).
     """
     caps = s.capacities
@@ -155,6 +153,8 @@ def render_state(
         notation = "compact" if caps.is_unit else "walled"
     elif notation not in ("compact", "walled"):
         raise ValueError(f"unknown notation {notation!r}")
+    if empty not in _VACANT:
+        raise ValueError(f"empty box character must be '_' or 'e', not {empty!r}")
     if notation == "compact" and not caps.is_unit:  # checked before the empty shortcut, so no state skips it
         if caps.default != 1:
             which = f"the default capacity is {caps.default}"

@@ -10,9 +10,10 @@ run's seed and a command that replays it from anchored walled text,
 check that raises ``InvariantError``, an internal fault, fails its case
 the same way, and the run goes on.
 
-The q-independence suite pairs a state's recording tableau Q with the
-row-by-row and the column-by-column standard fillings of Q's shape as P,
-and requires both states to step to the same Q.
+The q-independence suite draws until the recording tableau Q of a state
+has a shape that is neither one row nor one column, so that Q's shape has
+two distinct standard fillings: row by row and column by column.  With
+each as P, it requires both states to step to the same Q.
 
 Each golden fixture file is compared line for line with the text rendered
 from the paper's three inputs (Sections 3 and 6, Figure 4), so a truncated,
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable
@@ -162,22 +162,19 @@ def check_box_label(s: State) -> bool:
 
 def check_q_evolution(s: State) -> bool:
     """The carrier image of the recording tableau is the evolved recording tableau."""
-    return s.is_empty() or q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
+    return q_evolve(q_symbol(s), s.capacities) == q_symbol(carrier_step(s))
 
 
 def check_carrier_knuth(s: State) -> bool:
     """tab(C + w) == tab(w' + C') for the slot-word and box-label passes."""
     if s.is_empty():
         return True
-    carrier = (s.sentinel,) * s.ball_count
-    word = slot_word(s)[1]
-    out, final = carrier_pass(carrier, word)
-    if tab(carrier + word) != tab(out + final):
-        return False
-    labels = box_label_sequence(s)
-    carrier = label_carrier(s)
-    out, final = carrier_pass(carrier, labels)
-    return tab(carrier + labels) == tab(out + final)
+    slot_pass = ((s.sentinel,) * s.ball_count, slot_word(s)[1])
+    for carrier, word in [slot_pass, (label_carrier(s), box_label_sequence(s))]:
+        out, final = carrier_pass(carrier, word)
+        if tab(carrier + word) != tab(out + final):
+            return False
+    return True
 
 
 def check_rsk_roundtrip(bw: BiWord) -> bool:
@@ -192,8 +189,6 @@ def check_rsk_roundtrip(bw: BiWord) -> bool:
 
 def check_reduction_commutes(s: State) -> bool:
     """One generalized step equals reduce -> standard step -> un-reduce."""
-    if s.is_empty():
-        return True
     advanced = reduce_generalized_to_advanced(state_to_biword(s), s.capacities)
     standard = reduce_advanced_to_standard(advanced)
     stepped = state_to_biword(carrier_step(biword_to_state(standard, UNIT_CAPACITY, len(standard))))
@@ -204,18 +199,21 @@ def check_reduction_commutes(s: State) -> bool:
     return biword_to_state(generalized_next, s.capacities, s.n) == carrier_step(s)
 
 
-def q_independence_draw(rng: random.Random) -> State | None:
-    """A nonempty state whose Q-shape is neither one row nor one column, else None (resample).
+def q_independence_draw(rng: random.Random) -> State:
+    """The first ``random_state`` draw whose Q-shape is neither one row nor one column.
 
     Those are exactly the shapes with fewer than two standard tableaux.  By
     Schensted's theorem the shape is one row exactly when the color word is
     weakly increasing (the empty word too), and one column exactly when it
-    strictly decreases.
+    strictly decreases; so a draw is kept when its word has both a descent
+    and a weak ascent.
     """
-    s = random_state(rng)
-    word = state_to_biword(s).bottom
-    steps = list(zip(word, word[1:]))
-    return None if all(a <= b for a, b in steps) or all(a > b for a, b in steps) else s
+    while True:
+        s = random_state(rng)
+        word = state_to_biword(s).bottom
+        steps = list(zip(word, word[1:]))
+        if any(a > b for a, b in steps) and any(a <= b for a, b in steps):
+            return s
 
 
 def check_q_independence(s: State) -> bool:
@@ -231,25 +229,8 @@ def check_q_independence(s: State) -> bool:
 # ---------------------------------------------------------------------------
 # Suites
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    first_failure: tuple[int, State | BiWord] | None = None  # (case index, case)
-    seed: int | None = None  # of the run that drew the cases
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def lines(self) -> list[str]:
-        """The suite line, then a replay command for its first failing case, if any."""
-        out = [f"{self.name}: {self.passed}/{self.passed + self.failed} {'ok' if self.ok else 'FAIL'}"]
-        if self.first_failure is not None:
-            case, failing = self.first_failure
-            out.append(f"  first failure, case {case} of seed {self.seed}: {_replay_command(failing)}")
-        return out
+def _suite_line(name: str, passed: int, total: int) -> str:
+    return f"{name}: {passed}/{total} {'ok' if passed == total else 'FAIL'}"
 
 
 def _replay_command(case: State | BiWord) -> str:
@@ -276,22 +257,19 @@ def _replay_command(case: State | BiWord) -> str:
 def _state_suite(
     name: str, draw: Callable[[random.Random], object], check: Callable[[object], bool],
     rng: random.Random, cases: int, seed: int,
-) -> SuiteResult:
+) -> tuple[bool, list[str]]:
     """Check ``cases`` draws from ``rng``, which the run seeded with ``seed``.
 
-    A draw of None is resampled and not counted.
+    Returns whether every case passed, and the report: the suite line, then
+    a replay command for the first failing case, if any.
     """
-    result = SuiteResult(name, seed=seed)
-    for index in range(cases):
-        while (case := draw(rng)) is None:
-            pass
-        if _passes(check, case):
-            result.passed += 1
-        else:
-            result.failed += 1
-            if result.first_failure is None:
-                result.first_failure = (index, case)
-    return result
+    drawn = (draw(rng) for _ in range(cases))
+    failures = [(index, case) for index, case in enumerate(drawn) if not _passes(check, case)]
+    lines = [_suite_line(name, cases - len(failures), cases)]
+    if failures:
+        index, case = failures[0]
+        lines.append(f"  first failure, case {index} of seed {seed}: {_replay_command(case)}")
+    return not failures, lines
 
 
 def _passes(check: Callable[[object], bool], case: object) -> bool:
@@ -331,9 +309,9 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> tup
     results = [_state_suite(name, draw, check, rng, cases, seed) for name, draw, check in suites]
     for name, text in texts.items():
         passed = _passes(FIXTURE_CHECKS[name], text)
-        results.append(SuiteResult(f"fixture:{name}", int(passed), int(not passed)))
-    ok = all(r.ok for r in results)
-    lines = [line for r in results for line in r.lines()]
+        results.append((passed, [_suite_line(f"fixture:{name}", int(passed), 1)]))
+    ok = all(passed for passed, _ in results)
+    lines = [line for _, suite_lines in results for line in suite_lines]
     return ok, lines + ["all checks passed" if ok else "SOME CHECKS FAILED"]
 
 

@@ -794,15 +794,21 @@ def test_superstandard_tableaux_are_standard_and_differ_off_a_line():
 
 
 def test_q_independence_draw_skips_exactly_the_shapes_with_one_standard_tableau():
-    # those are the one-row and the one-column shapes
+    # those are the one-row and the one-column shapes; each call returns the first other draw
     from boxball.verify import q_independence_draw, random_state
 
-    drawn, resampled = random.Random(22), random.Random(22)
-    for _ in range(2000):
-        s = random_state(drawn)
-        outline = () if s.is_empty() else shape(q_symbol(s))
-        single = len(outline) <= 1 or outline[0] == 1
-        assert q_independence_draw(resampled) == (None if single else s)
+    replayed, drawn = random.Random(22), random.Random(22)
+    skipped = 0
+    for _ in range(500):
+        while True:
+            s = random_state(replayed)
+            outline = () if s.is_empty() else shape(q_symbol(s))
+            if len(outline) > 1 and outline[0] > 1:
+                break
+            skipped += 1
+        assert q_independence_draw(drawn) == s
+        assert drawn.getstate() == replayed.getstate()  # just past the returned draw
+    assert skipped  # the stream holds shapes to skip
 
 
 def test_q_symbol_ignores_colors():

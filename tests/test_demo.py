@@ -85,5 +85,6 @@ def test_ab_script_exports_a_revision_that_it_can_load(tmp_path):
     commit, src = ab["export"]("HEAD", tmp_path)
     assert (commit, src) == (head.stdout.strip(), tmp_path / "src")
     assert (src / "boxball" / "cli.py").is_file()
-    result = ab["compare"](src, src, "standard", jobs=3, rounds=1)
-    assert (result["jobs"], result["rounds"], len(result["round_wins"])) == (3, 1, 1)
+    for workload in ("standard", "verify"):  # verify jobs run every suite and read tests/fixtures
+        result = ab["compare"](src, src, workload, jobs=3, rounds=1)
+        assert (result["jobs"], result["rounds"], len(result["round_wins"])) == (3, 1, 1)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -267,6 +269,22 @@ def test_an_empty_state_is_checked_before_it_renders_as_nothing():
         with pytest.raises(ValueError, match="unknown notation 'bogus'"):
             render()
     assert render_trajectory([wide], "walled") == [""]
+
+
+@pytest.mark.parametrize("empty", ["", "x", "__", " ", "E", "0"])
+def test_render_refuses_a_vacancy_character_that_would_not_parse_back(empty):
+    # "" would write "12" for 1_2, and "x" text that the parser rejects
+    s = parse_state("1_2")
+    assert [parse_state(render_state(s, empty=vacancy)) for vacancy in ("_", "e")] == [s, s]
+    renders = [
+        lambda: render_state(s, empty=empty),
+        lambda: render_state(State(1, {}), empty=empty),  # checked before the empty shortcut
+        lambda: render_state(s, "walled", empty=empty),  # walled text ignores it, but the call is still wrong
+        lambda: render_trajectory([s, carrier_step(s)], empty=empty),
+    ]
+    for render in renders:
+        with pytest.raises(ValueError, match=f"^empty box character must be '_' or 'e', not {re.escape(repr(empty))}$"):
+            render()
 
 
 @given(st.text("0123456789_e|@+- \t\n", max_size=30), st.none() | st.integers(-2, 12))
