@@ -38,7 +38,7 @@ def banner(title):
 def main():
     banner("standard flavor: 234_15 in boxes 1..6, ten time steps")
     s = parse_state("@1 234_15", colors=5)
-    for line in render_trajectory(evolve(s, 9), span=(0, 45), anchor=False):
+    for line in render_trajectory(evolve(s, 9), (0, 45)):
         print(line)
 
     banner("its bi-word, dual bi-word, and tableau pair")
@@ -62,7 +62,7 @@ def main():
         "|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|e|eeeeee|eee|eeeeeeeeeeeeeee|eeeeeee|"
     )
     states = evolve(start, 4)
-    for k, line in enumerate(render_trajectory(states, "walled", (1, 13)), start=1):
+    for k, line in enumerate(render_trajectory(states, (1, 13)), start=1):
         print(f"time {k}: {line}")
 
     banner("conserved insertion tableau")
@@ -71,7 +71,7 @@ def main():
     for k, state in enumerate(states, start=1):
         banner(f"recording tableau at time {k}")
         print(render_tableau(q_symbol(state)))
-        print("state:", render_state(state, "walled"))
+        print("state:", render_state(state))
 
 
 if __name__ == "__main__":

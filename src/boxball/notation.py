@@ -1,10 +1,10 @@
 """Text notations for box-ball states.
 
 Compact notation (capacity-1 boxes only): one token per box, ``_`` or
-``e`` for an empty box, a digit for the ball color.  It can only be
-written for a state whose capacity is 1 in every box, shown or not: a
-default capacity other than 1, or any explicit capacity, is refused,
-since compact text re-parses with capacity 1 everywhere.  When any color
+``e`` for an empty box, a digit for the ball color.  Compact is written
+exactly for a state whose capacity is 1 in every box, shown or not, since
+compact text re-parses with capacity 1 everywhere; any other state is
+written in walled notation.  When any color
 exceeds 9 the tokens are whitespace-separated instead, and a one-box text
 gets a trailing vacancy (``12 _``) so that it still holds a space.  An
 optional leading ``@<label>`` fixes the label of the first shown box
@@ -131,16 +131,12 @@ def _token_color(tok: str, k: int) -> int:
 
 def render_state(
     s: State,
-    notation: str | None = None,
     span: tuple[int, int] | None = None,
     empty: str = "_",
     anchor: bool = True,
 ) -> str:
-    """Canonical text for a state.
+    """Canonical text for a state: compact exactly when every capacity is 1, walled otherwise.
 
-    ``notation`` is ``"compact"``, ``"walled"``, or ``None`` (the default)
-    for compact exactly when every capacity is 1 and walled otherwise;
-    an explicit ``"compact"`` on any other state raises ``ValueError``.
     ``span`` fixes the inclusive label range shown (default: the occupied
     range; an inverted one raises ``ValueError``); ``empty`` picks the
     vacancy character for compact output, ``_`` or ``e`` (any other raises
@@ -148,19 +144,8 @@ def render_state(
     ``anchor=False`` drops the ``@<label>`` prefix (the text then re-parses
     at the notation's default first label).
     """
-    caps = s.capacities
-    if notation is None:
-        notation = "compact" if caps.is_unit else "walled"
-    elif notation not in ("compact", "walled"):
-        raise ValueError(f"unknown notation {notation!r}")
     if empty not in _VACANT:
         raise ValueError(f"empty box character must be '_' or 'e', not {empty!r}")
-    if notation == "compact" and not caps.is_unit:  # checked before the empty shortcut, so no state skips it
-        if caps.default != 1:
-            which = f"the default capacity is {caps.default}"
-        else:
-            which = f"box {min(caps.explicit)} differs"
-        raise ValueError(f"compact notation needs capacity 1 everywhere, but {which}")
     if span is None:
         if s.is_empty():
             return ""
@@ -168,7 +153,7 @@ def render_state(
     lo, hi = span
     if lo > hi:  # no text shows an inverted span: compact would read back empty, walled not at all
         raise ValueError(f"span ({lo}, {hi}) runs backwards")
-    if notation == "compact":
+    if s.capacities.is_unit:
         return _render_compact(s, lo, hi, empty, anchor)
     return _render_walled(s, lo, hi, anchor)
 
@@ -206,19 +191,17 @@ def _render_walled(s: State, lo: int, hi: int, anchor: bool) -> str:
 
 def render_trajectory(
     states: list[State],
-    notation: str | None = None,
     span: tuple[int, int] | None = None,
     empty: str = "_",
     anchor: bool = True,
 ) -> list[str]:
     """Render states over a common label range (default: the union occupied range).
 
-    Each state's notation is ``notation``, or with ``None`` (the default)
-    the one ``render_state`` picks for it: compact on unit capacities,
-    walled otherwise.
+    Each state gets the notation ``render_state`` picks for it: compact on
+    unit capacities, walled otherwise.
     """
     if span is None:
         occupied = [s.balls for s in states if s.balls]
         if occupied:  # else each state is empty and render_state gives "" after its checks
             span = (min(map(min, occupied)), max(map(max, occupied)))
-    return [render_state(s, notation, span, empty, anchor) for s in states]
+    return [render_state(s, span, empty, anchor) for s in states]

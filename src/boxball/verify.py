@@ -5,7 +5,8 @@ box, and boxes spanning at most 30 labels from a first label in -5..5, so
 labels of either sign reach every suite; with a fixed seed the whole run
 is deterministic, so any failure is reproducible from the seed alone.  A
 failing suite also prints its first failing case: the case index, the
-run's seed and a command that replays it from anchored walled text,
+run's seed and a command that replays it from anchored text in the
+state's notation (compact exactly on unit capacities, walled otherwise),
 ``boxball evolve`` for a state and ``boxball rsk`` for a bi-word.  A
 check that raises ``InvariantError``, an internal fault, fails its case
 the same way, and the run goes on.
@@ -234,13 +235,15 @@ def _suite_line(name: str, passed: int, total: int) -> str:
 
 
 def _replay_command(case: State | BiWord) -> str:
-    """A command on the case in anchored walled text: ``evolve`` for a state, ``rsk`` for a bi-word.
+    """A command on the case in anchored text: ``evolve`` for a state, ``rsk`` for a bi-word.
 
     A bi-word becomes the state holding its columns, each top letter a box
-    as wide as its count.  The span covers every ball and explicit
-    capacity, so the text re-parses to the state (and ``state_to_biword``
-    of it to the bi-word).  A state's ``--colors`` restores its color
-    count; a bi-word's is its largest color, which the parser infers.
+    as wide as its count.  The text is in the state's notation, compact
+    exactly when every capacity is 1 and walled otherwise.  The span covers
+    every ball and explicit capacity, so the text re-parses to the state
+    (and ``state_to_biword`` of it to the bi-word).  A state's ``--colors``
+    restores its color count; a bi-word's is its largest color, which the
+    parser infers.
     """
     if isinstance(case, BiWord):
         command = "rsk"
@@ -248,7 +251,7 @@ def _replay_command(case: State | BiWord) -> str:
     else:
         command = f"evolve --colors {case.n}"
     labels = [*case.balls, *case.capacities.explicit] or [1]
-    text = render_state(case, "walled", (min(labels), max(labels)))
+    text = render_state(case, (min(labels), max(labels)))
     return f"echo '{text}' | boxball {command}"
 
 
@@ -319,13 +322,13 @@ def run_verification(seed: int, cases: int, fixtures: Path | None = None) -> tup
 # Golden fixtures: each file is the text rendered from one of the paper's three inputs
 
 def trajectory_block(s: State, history: int, future: int, span: tuple[int, int]) -> list[str]:
-    """Timeline lines around a reference state, earliest first, in compact notation.
+    """Unanchored timeline lines around a reference state, earliest first.
 
     The reference state's line is marked ``Time  t :`` and the next one
     ``Time t+1:``; every other line is indented to match.
     """
     past = [mirror(x) for x in evolve(mirror(s), history)]  # stepping the mirror image steps back
-    lines = render_trajectory(past[:0:-1] + evolve(s, future), "compact", span, anchor=False)
+    lines = render_trajectory(past[:0:-1] + evolve(s, future), span, anchor=False)
     marks = {history: "Time  t :", history + 1: "Time t+1:"}
     return [marks.get(k, " " * 9) + line for k, line in enumerate(lines)]
 
@@ -359,13 +362,13 @@ FIXTURE_CHECKS: dict[str, Callable[[str], bool]] = {
     "sec3_timeline.txt": _golden(lambda: trajectory_block(parse_state(_SEC3_INPUT), 4, 5, (-18, 31))),
     "sec5_advanced_timeline.txt": _golden(lambda: trajectory_block(parse_state(_FIG4_INPUT), 3, 3, (-18, 35))),
     "sec5_fig4_advanced.txt": _golden(
-        lambda: render_trajectory(evolve(parse_state(_FIG4_INPUT), 1), "compact", (0, 25), empty="e")
+        lambda: render_trajectory(evolve(parse_state(_FIG4_INPUT), 1), (0, 25), empty="e")
     ),
     "sec5_fig5_generalized.txt": _golden(
-        lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 1), "walled", (1, 10))
+        lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 1), (1, 10))
     ),
     "sec6_input.txt": _check_sec6_input,
-    "sec6_table1.txt": _golden(lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 4), "walled")),
+    "sec6_table1.txt": _golden(lambda: render_trajectory(evolve(parse_state(_SEC6_INPUT), 4))),
     "sec6_biwords.txt": _golden(lambda: _sec6_blocks(lambda s: render_biword(state_to_biword(s)))),
     "sec6_dual_biwords.txt": _golden(lambda: _sec6_blocks(lambda s: render_biword(dual(state_to_biword(s))))),
     "sec6_p_symbol.txt": _golden(lambda: render_tableau(p_symbol(parse_state(_SEC6_INPUT))).splitlines()),

@@ -96,18 +96,18 @@ def test_criterion_5_generalized_goldens(fixtures):
     # advanced flavor: five color sub-steps end to end
     fig4 = (fixtures / "sec5_fig4_advanced.txt").read_text().splitlines()
     advanced = parse_state(fig4[0])
-    ok = render_state(carrier_step(advanced), "compact", (0, len(fig4[0]) - 1), empty="e") == fig4[1]
+    ok = render_state(carrier_step(advanced), (0, len(fig4[0]) - 1), empty="e") == fig4[1]
 
     # generalized flavor: one step in walled notation
     fig5 = (fixtures / "sec5_fig5_generalized.txt").read_text().splitlines()
     generalized = parse_state(fig5[0])
-    ok = ok and render_state(carrier_step(generalized), "walled", (1, 10)) == fig5[1]
+    ok = ok and render_state(carrier_step(generalized), (1, 10)) == fig5[1]
 
     # five-step capacity table, byte for byte
     table = (fixtures / "sec6_table1.txt").read_text().splitlines()
     start = parse_state((fixtures / "sec6_input.txt").read_text())
     states = evolve(start, 4)
-    ok = ok and render_trajectory(states, "walled") == table
+    ok = ok and render_trajectory(states) == table
 
     # all five bi-words and dual bi-words
     biword_rows = [

@@ -301,13 +301,11 @@ def test_compact_output_rejects_an_empty_wider_state(capsys, monkeypatch, span):
 
     states = evolve(parse_state("|ee|"), 1)
     shown = (0, 3) if span else None
-    with pytest.raises(ValueError, match="^compact notation needs capacity 1 everywhere, but box 1 differs$"):
-        render_trajectory(states, "compact", shown)
     monkeypatch.setattr("sys.stdin", io.StringIO("|ee|\n"))
-    assert main(["evolve", *span]) == 0  # so evolve prints the walled text instead
+    assert main(["evolve", *span]) == 0  # compact text would re-parse with capacity 1: evolve prints walled text
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.splitlines() == render_trajectory(states, "walled", shown)
+    assert out.splitlines() == render_trajectory(states, shown)
     assert out == ("\n\n" if not span else "@0|e|ee|e|e|\n" * 2)
 
 

@@ -88,3 +88,23 @@ def test_ab_script_exports_a_revision_that_it_can_load(tmp_path):
     for workload in ("standard", "verify"):  # verify jobs run every suite and read tests/fixtures
         result = ab["compare"](src, src, workload, jobs=3, rounds=1)
         assert (result["jobs"], result["rounds"], len(result["round_wins"])) == (3, 1, 1)
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_session_goes_on(tmp_path):
+    # on a failure Hypothesis drafts a patch through libcst, whose import warns under filterwarnings = ["error"]
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(SCRIPTS.parent / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "test_two.py"]
+    done = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1
+    assert "1 failed, 1 passed" in done.stdout

@@ -50,16 +50,19 @@ def test_walled_wide_colors_round_trip():
     s = parse_state("|e 12|3|", colors=12)
     assert s.balls == {1: (12,), 2: (3,)}
     assert s.capacities.capacity(1) == 2
-    assert render_state(s, "walled") == "|e 12|3|"
+    assert render_state(s) == "|e 12|3|"
 
 
 def test_walled_wide_colors_one_token_per_box_round_trip():
-    s = State(12, {1: (12,)})
-    assert render_state(s, "walled") == "| 12|"
-    assert parse_state(render_state(s, "walled"), colors=12) == s
-    for s in (State(12, {1: (12,), 2: (3,)}), State(10, {-4: (10,), 0: (1,)})):
-        assert parse_state(render_state(s, "walled"), colors=s.n) == s
-        assert parse_state(render_state(s, "walled") + "+1", colors=s.n) == s
+    # a box of capacity 2 off the shown range makes the text walled, with one token in each shown box
+    wide_off_shown = CapacityProfile({5: 2})
+    s = State(12, {1: (12,)}, wide_off_shown)
+    assert render_state(s) == "| 12|"
+    assert parse_state(render_state(s, (1, 5)), colors=12) == s
+    for s in (State(12, {1: (12,), 2: (3,)}, wide_off_shown), State(10, {-4: (10,), 0: (1,)}, wide_off_shown)):
+        text = render_state(s)
+        assert "| " in text  # one token per box: a space marks the token mode
+        assert parse_state(text, colors=s.n) == parse_state(text + "+1", colors=s.n) == State(s.n, s.balls)
     assert parse_state("|e 12|34|", colors=34).balls == {1: (12,), 2: (34,)}
     # the compact counterpart: a one-box body gets a trailing vacancy
     s = State(12, {0: (12,)})
@@ -133,60 +136,35 @@ def test_a_negative_color_count_is_refused_before_any_box(text):
 
 def test_render_compact_reference():
     stepped = carrier_step(parse_state("@1 234_15", colors=5))
-    assert render_state(stepped, "compact", (0, 9)) == "____23_145"
+    assert render_state(stepped, (0, 9)) == "____23_145"
 
 
 def test_render_walled_reference():
     s = parse_state("|ee5|e125|4|ee3|12|e45|ee|e|eeeee|ee|")
-    assert render_state(carrier_step(s), "walled", (1, 10)) == (
+    assert render_state(carrier_step(s), (1, 10)) == (
         "|eee|eee5|5|124|e3|ee1|24|5|eeeee|ee|"
     )
 
 
 def test_render_empty_state():
     assert render_state(State(3, {})) == ""
-    assert render_state(State(3, {}), "walled", (1, 2)) == "|e|e|"
-
-
-def test_render_requires_unit_capacity_for_compact():
-    s = parse_state("|12|")
-    with pytest.raises(ValueError):
-        render_state(s, "compact")
-
-
-def test_compact_output_needs_unit_capacity_off_the_shown_boxes_too():
-    wide_elsewhere = State(1, {0: (1,)}, CapacityProfile({5: 2, 7: 3}))
-    with pytest.raises(ValueError, match="box 5 differs"):
-        render_state(wide_elsewhere, "compact")
-    assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}, 1)), "compact") == "1"
-
-
-@pytest.mark.parametrize(
-    "text, which",
-    [("@-4|1|e2|ee|3|", "box -3 differs"), ("@-1|1|2|+2", "the default capacity is 2"), ("|ee|", "box 1 differs")],
-    ids=["wider-box", "wider-default", "empty-wider-state"],
-)
-def test_compact_output_names_what_refuses_it(text, which):
-    s = parse_state(text)
-    message = f"^compact notation needs capacity 1 everywhere, but {which}$"
-    for span in (None, (0, 3)):
-        with pytest.raises(ValueError, match=message):
-            render_state(s, "compact", span)
-        with pytest.raises(ValueError, match=message):
-            render_trajectory([s, carrier_step(s)], "compact", span)
+    assert render_state(State(3, {}), (1, 2)) == "@1 __"
+    assert render_state(State(3, {}, CapacityProfile({2: 2})), (1, 2)) == "|e|ee|"
 
 
 def test_no_notation_means_compact_exactly_on_unit_capacities(fixtures):
+    # the capacity profile picks the notation: compact exactly when every box, shown or not, has capacity 1
     unit = parse_state("@1 234_15", colors=5)
-    assert render_state(unit) == render_state(unit, "compact") == "@1 234_15"
-    assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}))) == "1"
+    assert render_state(unit) == "@1 234_15"
+    assert render_state(State(1, {0: (1,)}, CapacityProfile({5: 1}))) == "1"  # an explicit 1 is the unit profile
     for text in ("@-1|e1|2|", "@-1|1|2|+2", "|1|e2|"):
-        s = parse_state(text)
-        assert render_state(s) == render_state(s, "walled") == text
-    states = evolve(parse_state("|1|e2|"), 2)
-    assert render_trajectory(states) == render_trajectory(states, "walled")
-    states = evolve(unit, 2)
-    assert render_trajectory(states) == render_trajectory(states, "compact")
+        assert render_state(parse_state(text)) == text
+    assert render_state(parse_state("|ee|"), (1, 1)) == "|ee|"  # an empty state too
+    # a box wider than 1 off the shown range still makes the text walled, and the text keeps its balls
+    wide_elsewhere = State(1, {0: (1,)}, CapacityProfile({5: 2, 7: 3}))
+    assert render_state(wide_elsewhere) == "@0|1|"
+    assert parse_state(render_state(wide_elsewhere)).balls == wide_elsewhere.balls
+    assert render_trajectory(evolve(unit, 2)) == ["@1 234_15______", "@1 ___23_145___", "@1 _____23__145"]
     sec6 = parse_state((fixtures / "sec6_input.txt").read_text())
     assert render_trajectory(evolve(sec6, 4)) == (fixtures / "sec6_table1.txt").read_text().splitlines()
 
@@ -203,27 +181,29 @@ def test_render_anchor_rules():
     s = State(2, {2: (1,), 3: (2,)})
     assert render_state(s) == "@2 12"
     assert render_state(s, span=(0, 3)) == "__12"
-    assert render_state(s, "walled") == "@2|1|2|"
-    assert render_state(s, "walled", anchor=False) == "|1|2|"
+    assert render_state(s, anchor=False) == "12"
+    walled = parse_state("@-1|1|2|+2")
+    assert render_state(walled) == "@-1|1|2|+2"
+    assert render_state(walled, anchor=False) == "|1|2|+2"
     assert parse_state(render_state(s)) == s
-    assert parse_state(render_state(s, "walled")) == s
-    for notation in ("compact", "walled"):  # an inverted span has no text that reads back
+    assert parse_state(render_state(walled)) == walled
+    for state in (s, walled):  # an inverted span has no text that reads back, compact or walled
         with pytest.raises(ValueError, match=r"^span \(5, 1\) runs backwards$"):
-            render_state(s, notation, (5, 1))
+            render_state(state, (5, 1))
         with pytest.raises(ValueError, match="runs backwards"):
-            render_trajectory([s], notation, (5, 1))
+            render_trajectory([state], (5, 1))
 
 
 def test_parse_render_roundtrip_on_text():
     for text in ("234_15", "|ee5|e125|4|", "@3 1_2", "@-1|e3|12|+2"):
-        canonical = render_state(parse_state(text), "walled" if "|" in text else "compact")
+        canonical = render_state(parse_state(text))
         assert parse_state(canonical) == parse_state(text)
-        assert render_state(parse_state(canonical), "walled" if "|" in text else "compact") == canonical
+        assert render_state(parse_state(canonical)) == canonical
 
 
 def test_state_render_parse_roundtrip_random():
-    # a span covering every explicit capacity makes the walled text a
-    # faithful encoding; the occupied-range default still recovers the balls
+    # a span covering every explicit capacity makes the text a faithful
+    # encoding; the occupied-range default still recovers the balls
     import random
 
     from boxball.verify import random_state
@@ -234,11 +214,9 @@ def test_state_render_parse_roundtrip_random():
         if s.is_empty():
             continue
         shown = set(s.balls) | set(s.capacities.explicit)
-        full = render_state(s, "walled", (min(shown), max(shown)))
+        full = render_state(s, (min(shown), max(shown)))
         assert parse_state(full, colors=s.n) == s
-        assert parse_state(render_state(s, "walled"), colors=s.n).balls == s.balls
-        if s.capacities == CapacityProfile():
-            assert parse_state(render_state(s, "compact"), colors=s.n) == s
+        assert parse_state(render_state(s), colors=s.n).balls == s.balls
 
 
 @given(st.randoms(use_true_random=False))
@@ -248,7 +226,7 @@ def test_compact_round_trip_on_random_unit_states(rng):
 
     drawn = random_state(rng)
     s = State(drawn.n, {label: colors[:1] for label, colors in drawn.balls.items()})
-    assert parse_state(render_state(s, "compact"), colors=s.n) == s
+    assert parse_state(render_state(s), colors=s.n) == s
 
 
 def test_render_trajectory_common_span():
@@ -261,14 +239,11 @@ def test_render_trajectory_common_span():
 def test_an_empty_state_is_checked_before_it_renders_as_nothing():
     wide = parse_state("|ee|")
     assert wide.is_empty()
-    for render in (lambda: render_state(wide, "compact"), lambda: render_trajectory([wide], "compact")):
-        with pytest.raises(ValueError, match="box 1 differs"):
+    for render in (lambda: render_state(wide, empty="x"), lambda: render_trajectory([wide], empty="x")):
+        with pytest.raises(ValueError, match="empty box character must be '_' or 'e', not 'x'"):
             render()
-    empty = State(1, {})
-    for render in (lambda: render_state(empty, "bogus"), lambda: render_trajectory([empty], "bogus")):
-        with pytest.raises(ValueError, match="unknown notation 'bogus'"):
-            render()
-    assert render_trajectory([wide], "walled") == [""]
+    assert render_state(wide) == ""
+    assert render_trajectory([wide]) == [""]
 
 
 @pytest.mark.parametrize("empty", ["", "x", "__", " ", "E", "0"])
@@ -279,7 +254,7 @@ def test_render_refuses_a_vacancy_character_that_would_not_parse_back(empty):
     renders = [
         lambda: render_state(s, empty=empty),
         lambda: render_state(State(1, {}), empty=empty),  # checked before the empty shortcut
-        lambda: render_state(s, "walled", empty=empty),  # walled text ignores it, but the call is still wrong
+        lambda: render_state(parse_state("|e1|"), empty=empty),  # walled text ignores it, but the call is still wrong
         lambda: render_trajectory([s, carrier_step(s)], empty=empty),
     ]
     for render in renders:
@@ -299,4 +274,4 @@ def test_parse_accepts_or_rejects_any_text(text, colors):
     assert_as_checked(s)  # compact text is built past State's check
     if not s.is_empty():
         shown = set(s.balls) | set(s.capacities.explicit)
-        assert parse_state(render_state(s, "walled", (min(shown), max(shown))), colors=s.n) == s
+        assert parse_state(render_state(s, (min(shown), max(shown))), colors=s.n) == s

@@ -41,7 +41,7 @@ def test_naive_step_advanced_reference(fixtures):
     lines = (fixtures / "sec5_fig4_advanced.txt").read_text().splitlines()
     before = parse_state(lines[0])
     after = naive_original_step(before)
-    assert render_state(after, "compact", (0, len(lines[0]) - 1), empty="e") == lines[1]
+    assert render_state(after, (0, len(lines[0]) - 1), empty="e") == lines[1]
 
 
 def test_naive_step_empty():

@@ -1,10 +1,12 @@
-"""The public surface: the package's exports, the names the benchmark reads, and the README's sketch.
+"""The public surface: the package's exports, the names the benchmark reads, the README's sketch,
+the renderers' parameters and the golden fixtures' bytes.
 
 ``perfbench/`` imports the package from source and reaches into it by
 name, so a cut that drops one of these breaks ``perfbench/run.py`` (with
 ``--trace 1`` for the tracer's names) rather than any test of behaviour.
 """
 
+import hashlib
 import inspect
 import re
 import shlex
@@ -26,6 +28,20 @@ EXPORTS = [
     "render_state", "render_tableau", "render_trajectory", "reverse_step", "shape", "slot_word",
     "state_to_biword", "tab", "transpose", "word_of",
 ]
+
+# sha256 of each golden fixture file; a change that edits a fixture on purpose updates this table
+FIXTURE_SHA256 = {
+    "sec3_timeline.txt": "5d7aeee6b0b2d8479bd0a1689f69835eee8f0de249dc011f0ced70849356328e",
+    "sec5_advanced_timeline.txt": "4636099fe3c917c7b4804e2ad5227c8f509691e5456d60c1e0ffccfac9ade382",
+    "sec5_fig4_advanced.txt": "44e874a78b29217832018f9120f79fdb6d0498f0e6ee069a701dc9201e6a548b",
+    "sec5_fig5_generalized.txt": "f0a8ed8838f89bc49ff18e98ef71fadd57c3494c9fea847f9925b97f899df4be",
+    "sec6_biwords.txt": "d7ae107d13c21e0fd2d14de7d112ef709e97d6ff4229f641e80b4a2f74524f95",
+    "sec6_dual_biwords.txt": "bac67163b49efb7c03960fbe6b81290e217f51cf6873786c1276c3ce3368960b",
+    "sec6_input.txt": "6ad398330eb29d86745fc1588a56cf6363528e3c885724c60107d142ef2ce057",
+    "sec6_p_symbol.txt": "06ca42bebb9bf2105c70fd5bbabbbc4b310a22bdba854409f5afb79aa7e59bb3",
+    "sec6_q_symbols.txt": "64540087cedf67abcb77ed3e9139d75a53634921c9159d43882e2998986375e5",
+    "sec6_table1.txt": "f50bb1f2e0aafdc598e2c0ba1faa0aeca88fb1bc4fcc876fc79efbc9ff312dd8",
+}
 
 
 def test_exports_are_pinned_and_resolve():
@@ -78,3 +94,15 @@ def test_the_readme_names_only_real_commands():
 def test_the_cli_docstring_names_exactly_the_commands():
     listing = boxball.cli.__doc__.partition("Subcommands:")[2].partition("\n\n")[0]
     assert re.findall(r"``(\w+)``", listing) == list(boxball.cli.COMMANDS)
+
+
+def test_the_renderers_pick_the_notation_themselves():
+    # the capacity profile fixes the notation, so neither renderer takes one
+    for render, first in ((boxball.render_state, "s"), (boxball.render_trajectory, "states")):
+        assert list(inspect.signature(render).parameters) == [first, "span", "empty", "anchor"]
+
+
+def test_the_golden_fixtures_are_unchanged(fixtures):
+    assert sorted(path.name for path in fixtures.iterdir()) == sorted(FIXTURE_SHA256)
+    for name, digest in FIXTURE_SHA256.items():
+        assert hashlib.sha256((fixtures / name).read_bytes()).hexdigest() == digest, name

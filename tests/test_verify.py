@@ -2,8 +2,11 @@
 
 A check that could only return True would pass every mutant of the code
 under it, so each failing branch is reached here once, on a fixed case,
-by patching one callee in ``boxball.verify``.
+by patching one callee in ``boxball.verify``.  The replay line that a
+failing case prints is checked here too, on unit and wider profiles.
 """
+
+import re
 
 import pytest
 
@@ -65,3 +68,26 @@ def test_the_q_checks_pass_on_an_empty_state_with_a_non_unit_profile():
     empty = State(3, {}, CapacityProfile({2: 3}))
     assert verify.check_q_evolution(empty) is True
     assert verify.check_reduction_commutes(empty) is True
+
+
+@pytest.mark.parametrize(
+    "case, text",
+    [
+        (State(2, {-3: (1,), -1: (2,)}), "@-3 1_2"),
+        (State(12, {5: (12,)}), "@5 12 _"),  # one wide token: a trailing vacancy keeps the token mode
+        (make_biword([(-2, 3), (1, 1), (4, 2)]), "@-2 3__1__2"),  # distinct top letters: every box holds one
+        (State(2, {-3: (1,), -1: (2,)}, CapacityProfile({4: 2})), "@-3|1|e|2|e|e|e|e|ee|"),
+        (BIWORD, "|2|13|"),
+    ],
+    ids=["unit-state", "unit-wide-token", "distinct-top-biword", "wider-state", "repeated-top-biword"],
+)
+def test_the_replay_line_writes_the_case_in_its_own_notation(case, text):
+    # compact exactly on a unit profile, walled otherwise; either re-parses to the case through the command
+    m = re.fullmatch(r"echo '(.+)' \| boxball (\w+)(?: --colors (\d+))?", verify._replay_command(case))
+    assert m[1] == text
+    if isinstance(case, BiWord):
+        assert (m[2], m[3]) == ("rsk", None)
+        assert verify.state_to_biword(parse_state(text)) == case
+    else:
+        assert m[2] == "evolve"
+        assert parse_state(text, int(m[3])) == case
